@@ -44,6 +44,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from ..errors import ConfigError, ReproError, SimTimeout
+from ..obs.metrics import SIM_COUNTERS
 
 #: Outcome taxonomy (string constants so records serialize naturally).
 MASKED = "masked"
@@ -270,29 +271,15 @@ class TrialResult:
     #: Golden data came from the cross-worker shared-memory segment
     #: (repro.core.goldens) instead of a local simulation.
     golden_shared: bool = False
-    #: Superblock batching counters of the faulty run (fast-path
-    #: bookkeeping — the trial's outcome is independent of batching).
-    superblocks_executed: int = 0
-    superblock_fallbacks: dict = field(default_factory=dict)
-    #: SM-level memory-window scripting counters (same caveat).
-    mem_windows_executed: int = 0
-    mem_window_insts: int = 0
-    #: Post-run simulator aggregates feeding the metrics plane: stall
-    #: cycles by cause (the PR-5 ledger), instruction count, and L1
-    #: traffic of the faulty run.  Convergence early-exit makes these
-    #: execution-strategy-dependent, hence telemetry, not outcome.
-    stall_cycles: dict = field(default_factory=dict)
-    instructions: int = 0
-    l1_hits: int = 0
-    l1_misses: int = 0
+    #: The faulty run's exported ``SimStats`` counters, keyed by the
+    #: names in ``repro.obs.metrics.SIM_COUNTERS``.  Convergence
+    #: early-exit makes them execution-strategy-dependent, hence
+    #: telemetry, not outcome.
+    telemetry: dict = field(default_factory=dict)
 
     #: Attribute names carrying run-environment telemetry, not outcome.
     TELEMETRY_FIELDS = ("wall_time_s", "fast_start", "converged",
-                        "golden_cache_hit", "golden_shared",
-                        "superblocks_executed", "superblock_fallbacks",
-                        "mem_windows_executed", "mem_window_insts",
-                        "stall_cycles", "instructions", "l1_hits",
-                        "l1_misses")
+                        "golden_cache_hit", "golden_shared", "telemetry")
 
     @property
     def key(self) -> tuple[str, str, str, int]:
@@ -544,16 +531,8 @@ def run_trial(trial: TrialSpec) -> TrialResult:
         result.wall_time_s = time.perf_counter() - started
 
     result.converged = sim_result.converged
-    result.superblocks_executed = sim_result.stats.superblocks_executed
-    result.superblock_fallbacks = dict(sim_result.stats.superblock_fallbacks)
-    result.mem_windows_executed = sim_result.stats.mem_windows_executed
-    result.mem_window_insts = sim_result.stats.mem_window_insts
-    result.stall_cycles = {cause: cycles for cause, cycles
-                           in sim_result.stats.stall_cycles.items()
-                           if cycles}
-    result.instructions = sim_result.stats.instructions
-    result.l1_hits = sim_result.stats.l1_hits
-    result.l1_misses = sim_result.stats.l1_misses
+    result.telemetry = {name: getattr(sim_result.stats, name)
+                        for name in SIM_COUNTERS}
     result.cycles = sim_result.cycles
     result.landed = sum(1 for r in injector.records if r.landed)
     # Coalesced recoveries count: a strike landing during an in-progress

@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from ..core.campaign import (CampaignJournal, CampaignSpec, CellAggregate,
                              DUE_HANG, INFRA_ERROR, TrialResult, TrialSpec,
                              aggregate, merge_cells, run_trial)
+from ..obs.metrics import observe_resumed, trial_retries, worker_restarts
 from ..service.backoff import backoff_delay
 from .runner import _DEFAULT_CACHE_DIR
 
@@ -90,8 +91,8 @@ class CampaignRunner:
         self.epoch_slack_s = epoch_slack_s
         #: Trial executor — an attribute so tests can inject failures.
         self._execute = run_trial
-        #: Live telemetry sink while ``run`` is active (else ``None``).
-        self._heartbeat = None
+        #: Metrics registry while a telemetry-on ``run`` is active.
+        self._registry = None
 
     # ------------------------------------------------------------------
     def run(self, spec: CampaignSpec, journal_path: str | None = None,
@@ -103,7 +104,7 @@ class CampaignRunner:
         if fresh and os.path.exists(path):
             os.remove(path)
         journal.repair()
-        done = {r.key for r in journal.load(spec)}
+        done = {r.key: r for r in journal.load(spec)}
         if not journal.has_header():
             journal.write_header(spec)
         pending = deque(t for t in spec.trial_specs() if t.key not in done)
@@ -119,10 +120,10 @@ class CampaignRunner:
             from ..obs import CampaignHeartbeat
             heartbeat = CampaignHeartbeat(
                 metrics_path, total, registry=registry,
-                on_snapshot=on_snapshot).start()
-            if done:
-                heartbeat.note_resumed(len(done))
-        self._heartbeat = heartbeat
+                on_snapshot=on_snapshot)
+            observe_resumed(heartbeat.registry, list(done.values()))
+            heartbeat.start()
+            self._registry = heartbeat.registry
 
         def record(result: TrialResult) -> None:
             nonlocal completed, infra
@@ -157,7 +158,7 @@ class CampaignRunner:
             journal.close()
             if heartbeat is not None:
                 heartbeat.stop()
-            self._heartbeat = None
+            self._registry = None
 
         results = journal.load(spec)
         keys = {r.key for r in results}
@@ -189,9 +190,11 @@ class CampaignRunner:
             seed=trial.campaign_seed if trial is not None else 0,
             key=trial.key if trial is not None else ()))
 
-    def _note_retry(self) -> None:
-        if self._heartbeat is not None:
-            self._heartbeat.note_retry()
+    def _note(self, counter) -> None:
+        """Bump a campaign counter (``trial_retries`` or
+        ``worker_restarts``) when telemetry is on."""
+        if self._registry is not None:
+            counter(self._registry).inc()
 
     def _run_inline(self, pending: deque, record) -> None:
         """Single-process path: same capture + bounded-retry semantics,
@@ -208,7 +211,7 @@ class CampaignRunner:
                     if attempt > self.max_retries:  # classified in-trial
                         record(self._infra_result(trial, attempt, exc))
                         break
-                    self._note_retry()
+                    self._note(trial_retries)
                     self._backoff(attempt, trial)
 
     def _run_pool(self, spec: CampaignSpec, pending: deque, record) -> None:
@@ -266,8 +269,7 @@ class CampaignRunner:
             if broken:
                 suspects.extend(futures.values())
                 pool.shutdown(wait=False, cancel_futures=True)
-                if self._heartbeat is not None:
-                    self._heartbeat.note_worker_restart()
+                self._note(worker_restarts)
             else:
                 pool.shutdown(wait=True)
         if suspects:
@@ -300,12 +302,11 @@ class CampaignRunner:
                     break
                 except Exception as exc:
                     pool.shutdown(wait=False, cancel_futures=True)
-                    if self._heartbeat is not None:
-                        self._heartbeat.note_worker_restart()
+                    self._note(worker_restarts)
                     if attempt > self.max_retries:
                         record(self._infra_result(trial, attempt, exc))
                         break
-                    self._note_retry()
+                    self._note(trial_retries)
                     self._backoff(attempt, trial)
                 else:
                     pool.shutdown(wait=True)

@@ -28,7 +28,10 @@ class Reg:
     def __post_init__(self) -> None:
         # Registers are scoreboard dict keys on the simulator's issue
         # path; cache the hash instead of recomputing it per lookup.
-        object.__setattr__(self, "_hash", hash((Reg, self.index)))
+        # Hash from the index alone: a class object hashes by its id,
+        # which changes per process, and with it the iteration order of
+        # register sets (and so the compiler's register coloring).
+        object.__setattr__(self, "_hash", hash(self.index))
 
     def __hash__(self) -> int:
         return self._hash
@@ -44,7 +47,8 @@ class Pred:
     index: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((Pred, self.index)))
+        # Negative, so predicates stay apart from registers (see Reg).
+        object.__setattr__(self, "_hash", hash(-1 - self.index))
 
     def __hash__(self) -> int:
         return self._hash

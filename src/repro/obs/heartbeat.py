@@ -1,18 +1,18 @@
 """Campaign telemetry heartbeat: periodic JSONL metrics next to the journal.
 
-A tiny daemon thread samples the campaign's shared counters every
-``interval`` seconds and appends one JSON object per sample to a metrics
-file — progress, throughput, acceleration hit rates, worker restarts,
-and an ETA extrapolated from the observed trial rate.  ``stop()`` always
-writes one final record, so even sub-interval campaigns emit at least
-one heartbeat.
+A tiny daemon thread snapshots the campaign's metrics registry every
+``interval`` seconds and appends one JSON object per sample to a
+metrics file — progress, throughput, acceleration hit rates, worker
+restarts, and an ETA extrapolated from the observed trial rate.
+``stop()`` always writes one final record, so even sub-interval
+campaigns emit at least one heartbeat.
 
-The heartbeat doubles as the bridge into the metrics plane: give it a
-:class:`~repro.obs.metrics.MetricsRegistry` and every ``note_trial``
-also folds the trial into Prometheus-exposable counters
-(``observe_trial``); give it an ``on_snapshot`` callback and each
-periodic/final record is additionally delivered in-process — that is
-how the ``--live`` dashboard ticks without a second timer thread.
+The heartbeat counts nothing itself: every record is read from a
+:class:`~repro.obs.metrics.MetricsRegistry` (the caller's, or one of
+its own), which ``note_trial`` feeds through ``observe_trial``.  Give
+it an ``on_snapshot`` callback and each periodic/final record is also
+delivered in-process — that is how the ``--live`` dashboard ticks
+without a second timer thread.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import json
 import threading
 import time
 
-from .metrics import MetricsRegistry, observe_trial
+from .metrics import SIM_COUNTERS, MetricsRegistry, observe_trial
 
 #: Below this many elapsed seconds, rate/ETA extrapolation is noise:
 #: the first sample can land microseconds after start (or before it,
@@ -29,18 +29,30 @@ from .metrics import MetricsRegistry, observe_trial
 #: handful of trials by ~0 produces absurd trillions-of-trials/sec.
 _MIN_RATE_WINDOW_S = 1e-3
 
+#: Count keys of a record and the family each is summed from (over the
+#: series carrying the given labels).  ``completed`` is
+#: ``repro_trials_total`` minus the resumed rows; the simulator counters
+#: of ``SIM_COUNTERS`` follow under their own names.
+COUNT_KEYS = {
+    "resumed_from_journal": ("repro_trials_resumed_total", {}),
+    "golden_cache_hits": ("repro_trial_accel_total",
+                          {"kind": "golden_cache_hit"}),
+    "golden_shared_hits": ("repro_trial_accel_total",
+                           {"kind": "golden_shared"}),
+    "worker_restarts": ("repro_worker_restarts_total", {}),
+    "retries": ("repro_trial_retries_total", {}),
+    "infra_failures": ("repro_trials_total", {"verdict": "infra_error"}),
+    "sim_cycles": ("repro_trial_cycles_total", {}),
+}
+
 
 class CampaignHeartbeat:
-    """Thread-safe counter block plus the writer thread.
-
-    Counters are bumped from the result-recording path (one process;
-    worker processes report through the pool's result queue, so no
-    cross-process locking is needed beyond this object's lock).
+    """Registry view plus the writer thread.
 
     ``path=None`` runs the heartbeat as a pure in-memory sampler — no
-    JSONL file, but ``snapshot``/``on_snapshot``/``registry`` all still
-    work (the service runner uses this when the operator asked for a
-    dashboard but no metrics file).
+    JSONL file, but ``snapshot``/``on_snapshot`` still work (the service
+    runner uses this when the operator asked for a dashboard but no
+    metrics file).
     """
 
     def __init__(self, path: str | None, total_trials: int,
@@ -56,111 +68,22 @@ class CampaignHeartbeat:
         #: heartbeat leaves them ``None`` and omits the fields).
         self.shard_id = shard_id
         self.worker_id = worker_id
-        #: Optional metrics registry: every noted trial is also folded
-        #: into Prometheus counters/histograms via ``observe_trial``.
-        self.registry = registry
+        #: Where every count lives; each record is read from it.
+        self.registry = registry if registry is not None \
+            else MetricsRegistry()
         #: Optional callback fired with each record written (periodic
         #: and final) — drives the live dashboard.
         self.on_snapshot = on_snapshot
-        self._lock = threading.Lock()
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
         #: ``None`` until ``start()``: a snapshot taken before the
         #: writer starts must report zero elapsed time, not the seconds
         #: since the process booted its monotonic clock.
         self._started_at: float | None = None
-        # Counters (guarded by _lock).
-        self.completed = 0
-        self.resumed = 0          # trials satisfied from the journal
-        self.fast_starts = 0      # trials seeded from a golden checkpoint
-        self.converged = 0        # trials cut short by convergence match
-        self.golden_cache_hits = 0
-        self.golden_shared_hits = 0   # goldens adopted from shared memory
-        self.worker_restarts = 0
-        self.retries = 0          # trial executions retried after a fault
-        self.infra_failures = 0
-        self.sim_cycles = 0
-        self.wall_time_s = 0.0    # summed per-trial simulation wall time
-        # Superblock batching effectiveness across the faulty runs:
-        # total batched windows plus per-reason fallback counts.
-        self.superblocks_executed = 0
-        self.superblock_fallbacks: dict[str, int] = {}
-        # Memory-window scripting effectiveness (SM-level windows).
-        self.mem_windows_executed = 0
-        self.mem_window_insts = 0
-        # Stall-cycle ledger summed across faulty runs, by cause.
-        self.stall_cycles: dict[str, int] = {}
-        self.shards_done = 0
-        # Last observed liveness signal per shard (monotonic seconds);
-        # the coordinator-side heartbeat reports these as staleness.
-        self._shard_seen: dict[int, float] = {}
-
-    # ------------------------------------------------------------------
-    # Producer side
-    # ------------------------------------------------------------------
-    def note_resumed(self, count: int) -> None:
-        with self._lock:
-            self.resumed += count
 
     def note_trial(self, result) -> None:
-        """Record one finished trial (a ``TrialResult``)."""
-        with self._lock:
-            self.completed += 1
-            if result.fast_start:
-                self.fast_starts += 1
-            if result.converged:
-                self.converged += 1
-            if result.golden_cache_hit:
-                self.golden_cache_hits += 1
-            if getattr(result, "golden_shared", False):
-                self.golden_shared_hits += 1
-            # Mirrors repro.core.campaign.INFRA_ERROR (obs stays
-            # import-free of the campaign layer).
-            if result.outcome == "infra_error":
-                self.infra_failures += 1
-            self.sim_cycles += result.cycles
-            self.wall_time_s += result.wall_time_s
-            self.superblocks_executed += getattr(
-                result, "superblocks_executed", 0)
-            for reason, count in getattr(result, "superblock_fallbacks",
-                                         {}).items():
-                self.superblock_fallbacks[reason] = \
-                    self.superblock_fallbacks.get(reason, 0) + count
-            self.mem_windows_executed += getattr(
-                result, "mem_windows_executed", 0)
-            self.mem_window_insts += getattr(
-                result, "mem_window_insts", 0)
-            for cause, cycles in (getattr(result, "stall_cycles", None)
-                                  or {}).items():
-                self.stall_cycles[cause] = \
-                    self.stall_cycles.get(cause, 0) + cycles
-        if self.registry is not None:
-            observe_trial(self.registry, result, shard_id=self.shard_id)
-
-    def note_worker_restart(self) -> None:
-        with self._lock:
-            self.worker_restarts += 1
-
-    def note_retry(self) -> None:
-        """One trial execution is being retried after an infrastructure
-        fault (worker death, lost result)."""
-        with self._lock:
-            self.retries += 1
-
-    def note_shard_heartbeat(self, shard_id: int) -> None:
-        """A liveness signal arrived for ``shard_id``'s current worker
-        (HTTP heartbeat, heartbeat-file advance, or an in-process trial
-        completion)."""
-        with self._lock:
-            self._shard_seen[shard_id] = time.monotonic()
-
-    def note_shard_done(self, shard_id: int, trials: int) -> None:
-        """A whole shard completed and verified; its trials count as
-        completed work for throughput/ETA purposes."""
-        with self._lock:
-            self.shards_done += 1
-            self.completed += trials
-            self._shard_seen[shard_id] = time.monotonic()
+        """Count one freshly executed trial (a ``TrialResult``)."""
+        observe_trial(self.registry, result, shard_id=self.shard_id)
 
     # ------------------------------------------------------------------
     # Writer side
@@ -185,7 +108,7 @@ class CampaignHeartbeat:
             self._write(final=False)
 
     def snapshot(self, final: bool = False) -> dict:
-        """One metrics record (the JSONL schema).
+        """One metrics record (the JSONL schema), read from the registry.
 
         Rate and ETA are guarded against the zero-elapsed edge: before
         ``start()`` or within the first millisecond, ``trials_per_sec``
@@ -197,54 +120,65 @@ class CampaignHeartbeat:
             elapsed = 0.0
         else:
             elapsed = max(time.monotonic() - self._started_at, 0.0)
-        with self._lock:
-            completed = self.completed
-            if elapsed >= _MIN_RATE_WINDOW_S:
-                rate = completed / elapsed
-            else:
-                rate = 0.0
-            remaining = max(self.total_trials - self.resumed - completed, 0)
-            denominator = completed or 1
-            record = {
-                "kind": "campaign_heartbeat",
-                "final": final,
-                "elapsed_s": round(elapsed, 3),
-                "total_trials": self.total_trials,
-                "resumed_from_journal": self.resumed,
-                "completed": completed,
-                "remaining": remaining,
-                "trials_per_sec": round(rate, 4),
-                "eta_s": (round(remaining / rate, 1) if rate > 0
-                          else None),
-                "fast_start_hit_rate": self.fast_starts / denominator,
-                "convergence_early_exit_rate": self.converged / denominator,
-                "golden_cache_hits": self.golden_cache_hits,
-                "golden_shared_hits": self.golden_shared_hits,
-                "worker_restarts": self.worker_restarts,
-                "retries": self.retries,
-                "infra_failures": self.infra_failures,
-                "sim_cycles": self.sim_cycles,
-                "sim_wall_time_s": round(self.wall_time_s, 3),
-                "superblocks_executed": self.superblocks_executed,
-                "superblock_fallbacks": dict(
-                    sorted(self.superblock_fallbacks.items())),
-                "mem_windows_executed": self.mem_windows_executed,
-                "mem_window_insts": self.mem_window_insts,
-            }
-            if self.stall_cycles:
-                record["stall_cycles"] = dict(
-                    sorted(self.stall_cycles.items()))
-            if self.shard_id is not None:
-                record["shard_id"] = self.shard_id
-            if self.worker_id is not None:
-                record["worker_id"] = self.worker_id
-            if self.shards_done or self._shard_seen:
-                record["shards_done"] = self.shards_done
-            if self._shard_seen:
-                now = time.monotonic()
-                record["shard_staleness_s"] = {
-                    str(sid): round(now - seen, 3)
-                    for sid, seen in sorted(self._shard_seen.items())}
+        families = {f["name"]: f["series"] for f in self.registry.collect()}
+
+        def series(name, **match):
+            return [s for s in families.get(name, ())
+                    if match.items() <= s["labels"].items()]
+
+        def total(name, **match):
+            # A histogram series counts with its sum.
+            return sum((s["value"] if "value" in s else s["sum"]
+                        for s in series(name, **match)), 0.0)
+
+        counts = {key: int(total(name, **match))
+                  for key, (name, match) in COUNT_KEYS.items()}
+        resumed = counts["resumed_from_journal"]
+        completed = int(total("repro_trials_total")) - resumed
+        rate = completed / elapsed if elapsed >= _MIN_RATE_WINDOW_S else 0.0
+        remaining = max(self.total_trials - resumed - completed, 0)
+        denominator = completed or 1
+        record = {
+            "kind": "campaign_heartbeat",
+            "final": final,
+            "elapsed_s": round(elapsed, 3),
+            "total_trials": self.total_trials,
+            "resumed_from_journal": resumed,
+            "completed": completed,
+            "remaining": remaining,
+            "trials_per_sec": round(rate, 4),
+            "eta_s": round(remaining / rate, 1) if rate > 0 else None,
+            "fast_start_hit_rate": total("repro_trial_accel_total",
+                                         kind="fast_start") / denominator,
+            "convergence_early_exit_rate": total(
+                "repro_trial_accel_total", kind="converged") / denominator,
+            **counts,
+            "sim_wall_time_s": round(total("repro_trial_wall_seconds"), 3),
+        }
+        for name, spec in SIM_COUNTERS.items():
+            fixed = dict(spec.labels)
+            if spec.key_label is None:
+                record[name] = int(total(spec.family, **fixed))
+                continue
+            by_key: dict[str, int] = {}
+            for s in series(spec.family, **fixed):
+                key = s["labels"][spec.key_label]
+                by_key[key] = by_key.get(key, 0) + int(s["value"])
+            record[name] = dict(sorted(by_key.items()))
+        if self.shard_id is not None:
+            record["shard_id"] = self.shard_id
+        if self.worker_id is not None:
+            record["worker_id"] = self.worker_id
+        # Sharded campaigns: the service hub's lease gauges.
+        if "repro_shards" in families:
+            record["shards_done"] = int(total("repro_shards", state="done"))
+        if "repro_worker_heartbeat_age_seconds" in families:
+            ages = sorted(families["repro_worker_heartbeat_age_seconds"],
+                          key=lambda s: int(s["labels"]["shard"]))
+            # Negative ages mark shards with no active lease.
+            record["shard_staleness_s"] = {
+                s["labels"]["shard"]: round(s["value"], 3)
+                for s in ages if s["value"] >= 0}
         return record
 
     def _write(self, final: bool) -> None:

@@ -28,14 +28,16 @@ from __future__ import annotations
 import math
 import re
 import threading
+from typing import NamedTuple
 
 from ..errors import ConfigError
 
 __all__ = [
-    "Counter", "Gauge", "Histogram", "MetricsRegistry",
-    "DEFAULT_BUCKETS", "render_prom", "parse_prom_text",
-    "validate_prom_text", "observe_sim_stats", "observe_trial",
-    "trial_counts",
+    "Counter", "Gauge", "Histogram", "MetricsRegistry", "SIM_COUNTERS",
+    "SimCounter", "DEFAULT_BUCKETS", "render_prom", "parse_prom_text",
+    "validate_prom_text", "observe_resumed", "observe_row",
+    "observe_sim_stats", "observe_trial", "trial_counts", "trial_retries",
+    "worker_restarts",
 ]
 
 _METRIC_NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
@@ -314,6 +316,7 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._metrics: dict[str, _Metric] = {}
+        self._collectors: list = []
 
     def _register(self, cls, name: str, help: str,
                   labelnames: tuple[str, ...], **kwargs) -> _Metric:
@@ -355,14 +358,23 @@ class MetricsRegistry:
         with self._lock:
             return self._metrics.get(name)
 
+    def add_collector(self, refresh) -> None:
+        """Call ``refresh()`` at the start of every :meth:`collect`, so
+        pull-side state (shard lease gauges, journal tails) is current
+        in every view of the registry."""
+        self._collectors.append(refresh)
+
     def collect(self) -> list[dict]:
-        """Snapshot every family in renderer order.
+        """Snapshot every family in renderer order, after running the
+        collectors.
 
         Returns ``[{"name", "type", "help", "series": [...]}]`` where a
         counter/gauge series is ``{"labels": {...}, "value": v}`` and a
         histogram series is ``{"labels": {...}, "buckets": [(le, n)],
         "sum": s, "count": n}`` with cumulative bucket counts.
         """
+        for refresh in self._collectors:
+            refresh()
         with self._lock:
             metrics = sorted(self._metrics.values(), key=lambda m: m.name)
         families = []
@@ -676,158 +688,151 @@ def _validate_histogram(name: str, samples: list) -> list[str]:
 # Stack instrumentation helpers (the single source of metric names)
 # ----------------------------------------------------------------------
 
-def observe_sim_stats(registry: MetricsRegistry, stats,
-                      labels: dict | None = None) -> None:
-    """Fold one simulation's ``SimStats`` into the registry.
+class SimCounter(NamedTuple):
+    """Where one exported ``SimStats`` counter is counted."""
 
-    ``labels`` (e.g. ``{"workload": ..., "scheme": ...}``) scopes every
-    series; all counters here are post-run aggregates, never touched
-    from the simulator's cycle loop.
+    family: str
+    help: str
+    #: Fixed label values of this counter's series within the family.
+    labels: tuple[tuple[str, str], ...] = ()
+    #: For a dict-valued counter: the label its keys become.
+    key_label: str | None = None
+
+
+_CACHE_HELP = "Cache accesses by level and outcome."
+
+#: The ``SimStats`` counters a trial exports, by attribute name: the
+#: only list of them.  ``run_trial`` copies exactly these into
+#: ``TrialResult.telemetry``, :func:`observe_sim_stats` counts them, and
+#: the campaign heartbeat reports each under its own name.
+SIM_COUNTERS = {
+    "instructions": SimCounter(
+        "repro_sim_instructions_total",
+        "Instructions executed by the simulator."),
+    "stall_cycles": SimCounter(
+        "repro_stall_cycles_total",
+        "Warp-cycles stalled, attributed by cause (paper Fig. 13 "
+        "accounting).", key_label="cause"),
+    "l1_hits": SimCounter("repro_sim_cache_events_total", _CACHE_HELP,
+                          (("level", "l1"), ("event", "hits"))),
+    "l1_misses": SimCounter("repro_sim_cache_events_total", _CACHE_HELP,
+                            (("level", "l1"), ("event", "misses"))),
+    "superblocks_executed": SimCounter(
+        "repro_sim_superblocks_total",
+        "Superblock-vectorized windows executed."),
+    "superblock_fallbacks": SimCounter(
+        "repro_sim_superblock_fallbacks_total",
+        "Superblock windows that fell back to scalar execution, by "
+        "reason.", key_label="reason"),
+    "mem_windows_executed": SimCounter(
+        "repro_sim_mem_windows_total", "SM-level memory windows executed."),
+    "mem_window_insts": SimCounter(
+        "repro_sim_mem_window_insts_total",
+        "Instructions retired inside memory windows."),
+}
+
+
+def observe_sim_stats(registry: MetricsRegistry, counters,
+                      labels: dict | None = None) -> None:
+    """Fold one run's exported simulator counters into the registry.
+
+    ``counters`` maps :data:`SIM_COUNTERS` names to their values (a
+    missing name counts as zero); ``labels`` (e.g. ``{"workload": ...,
+    "scheme": ...}``) scopes every series.  Zero amounts add no series.
     """
     labels = dict(labels or {})
-    labelnames = tuple(labels)
-
-    def counter(name, help, extra=()):
-        return registry.counter(name, help, labelnames + tuple(extra))
-
-    def bump(metric, amount, **extra):
-        if amount:
-            metric.labels(**labels, **extra).inc(amount)
-
-    bump(counter("repro_sim_instructions_total",
-                 "Instructions executed by the simulator."),
-         getattr(stats, "instructions", 0))
-    bump(counter("repro_sim_cycles_total",
-                 "Cycles simulated."), getattr(stats, "cycles", 0))
-    stall = counter("repro_stall_cycles_total",
-                    "Warp-cycles stalled, attributed by cause "
-                    "(paper Fig. 13 accounting).", ("cause",))
-    for cause, cycles in sorted(getattr(stats, "stall_cycles",
-                                        {}).items()):
-        bump(stall, cycles, cause=cause)
-    cache = counter("repro_sim_cache_events_total",
-                    "Cache accesses by level and outcome.",
-                    ("level", "event"))
-    for level in ("l1", "l2"):
-        for event in ("hits", "misses"):
-            bump(cache, getattr(stats, f"{level}_{event}", 0),
-                 level=level, event=event)
-    bump(counter("repro_sim_superblocks_total",
-                 "Superblock-vectorized windows executed."),
-         getattr(stats, "superblocks_executed", 0))
-    fallbacks = counter("repro_sim_superblock_fallbacks_total",
-                        "Superblock windows that fell back to scalar "
-                        "execution, by reason.", ("reason",))
-    for reason, count in sorted(getattr(stats, "superblock_fallbacks",
-                                        {}).items()):
-        bump(fallbacks, count, reason=reason)
-    bump(counter("repro_sim_mem_windows_total",
-                 "SM-level memory windows executed."),
-         getattr(stats, "mem_windows_executed", 0))
-    bump(counter("repro_sim_mem_window_insts_total",
-                 "Instructions retired inside memory windows."),
-         getattr(stats, "mem_window_insts", 0))
+    for name, spec in SIM_COUNTERS.items():
+        series = dict(labels, **dict(spec.labels))
+        labelnames = tuple(series)
+        if spec.key_label is not None:
+            labelnames += (spec.key_label,)
+        metric = registry.counter(spec.family, spec.help, labelnames)
+        value = counters.get(name)
+        if not value:
+            continue
+        if spec.key_label is None:
+            metric.labels(**series).inc(value)
+            continue
+        for key, amount in value.items():
+            if amount:
+                metric.labels(**series, **{spec.key_label: key}).inc(amount)
 
 
-#: Acceleration kinds surfaced as ``repro_trial_accel_total{kind=...}``.
-_ACCEL_KINDS = (
-    ("fast_start", "fast_start"),
-    ("converged", "converged"),
-    ("golden_cache_hit", "golden_cache_hit"),
-    ("golden_shared", "golden_shared"),
-)
+#: ``TrialResult`` flags counted as ``repro_trial_accel_total{kind=...}``.
+_ACCEL_KINDS = ("fast_start", "converged", "golden_cache_hit",
+                "golden_shared")
+
+
+def observe_row(registry: MetricsRegistry, row,
+                shard_id: int | None = None) -> None:
+    """Count one trial row: its verdict and its simulated cycles.
+
+    This is all a row read back from a journal adds, because journal
+    rows carry no telemetry; a freshly executed trial goes through
+    :func:`observe_trial` instead.
+    """
+    labelnames = ("workload", "scheme", "site", "verdict")
+    labels = {"workload": row.workload, "scheme": row.scheme,
+              "site": row.site, "verdict": row.outcome}
+    if shard_id is not None:
+        labelnames += ("shard",)
+        labels["shard"] = str(shard_id)
+    registry.counter(
+        "repro_trials_total",
+        "Finished fault-injection trials by cell and verdict.",
+        labelnames).labels(**labels).inc()
+    registry.counter(
+        "repro_trial_cycles_total",
+        "Simulated cycles consumed by finished trials.",
+        ("workload", "scheme")).labels(
+            workload=row.workload, scheme=row.scheme).inc(row.cycles)
 
 
 def observe_trial(registry: MetricsRegistry, result,
                   shard_id: int | None = None) -> None:
-    """Fold one finished ``TrialResult`` into the registry.
-
-    This is the single place trial-level metric names are defined; the
-    campaign heartbeat, the service metrics hub, and the report
-    generator all route through it so counters agree everywhere.
-    """
-    cell = {"workload": result.workload, "scheme": result.scheme,
-            "site": result.site}
-    trial_labels = ("workload", "scheme", "site", "verdict")
-    if shard_id is not None:
-        trial_labels = trial_labels + ("shard",)
-    trials = registry.counter(
-        "repro_trials_total",
-        "Finished fault-injection trials by cell and verdict.",
-        trial_labels)
-    kwargs = dict(cell, verdict=result.outcome)
-    if shard_id is not None:
-        kwargs["shard"] = str(shard_id)
-    trials.labels(**kwargs).inc()
-
-    wall = registry.histogram(
+    """Fold one freshly executed ``TrialResult`` into the registry: its
+    row, wall time, accelerations and exported simulator counters."""
+    observe_row(registry, result, shard_id)
+    registry.histogram(
         "repro_trial_wall_seconds",
         "Wall-clock seconds per trial (simulation + verification).",
-        ("workload", "scheme"))
-    wall.labels(workload=result.workload, scheme=result.scheme).observe(
-        getattr(result, "wall_time_s", 0.0))
-
+        ("workload", "scheme")).labels(
+            workload=result.workload,
+            scheme=result.scheme).observe(result.wall_time_s)
     accel = registry.counter(
         "repro_trial_accel_total",
         "Trial accelerations by kind (checkpoint fast-starts, "
         "convergence early exits, golden-result cache hits).", ("kind",))
-    for kind, attr in _ACCEL_KINDS:
-        if getattr(result, attr, False):
+    for kind in _ACCEL_KINDS:
+        if getattr(result, kind):
             accel.labels(kind=kind).inc()
-
-    cycles = registry.counter(
-        "repro_trial_cycles_total",
-        "Simulated cycles consumed by finished trials.",
-        ("workload", "scheme"))
-    cycles.labels(workload=result.workload,
-                  scheme=result.scheme).inc(result.cycles)
-
-    stats_like = _TrialStatsView(result)
-    observe_sim_stats(registry, stats_like, cell)
+    observe_sim_stats(registry, result.telemetry,
+                      {"workload": result.workload, "scheme": result.scheme,
+                       "site": result.site})
 
 
-class _TrialStatsView:
-    """Adapter presenting a ``TrialResult``'s telemetry with the
-    ``SimStats`` attribute names ``observe_sim_stats`` expects (cycles
-    are intentionally absent here — trial cycle counts already flow
-    through ``repro_trial_cycles_total``)."""
+def observe_resumed(registry: MetricsRegistry, rows) -> None:
+    """Count the rows a resumed campaign read back from its journal:
+    each as a row, and all of them in ``repro_trials_resumed_total``."""
+    for row in rows:
+        observe_row(registry, row)
+    registry.counter(
+        "repro_trials_resumed_total",
+        "Trial rows read back from a journal when a campaign resumed.",
+    ).inc(len(rows))
 
-    __slots__ = ("_result",)
 
-    def __init__(self, result) -> None:
-        self._result = result
+def trial_retries(registry: MetricsRegistry) -> Counter:
+    """The counter of trial executions retried after a fault."""
+    return registry.counter(
+        "repro_trial_retries_total",
+        "Trial executions retried after an infrastructure fault.")
 
-    @property
-    def instructions(self):
-        return getattr(self._result, "instructions", 0)
 
-    @property
-    def stall_cycles(self):
-        return getattr(self._result, "stall_cycles", {}) or {}
-
-    @property
-    def l1_hits(self):
-        return getattr(self._result, "l1_hits", 0)
-
-    @property
-    def l1_misses(self):
-        return getattr(self._result, "l1_misses", 0)
-
-    @property
-    def superblocks_executed(self):
-        return getattr(self._result, "superblocks_executed", 0)
-
-    @property
-    def superblock_fallbacks(self):
-        return getattr(self._result, "superblock_fallbacks", {}) or {}
-
-    @property
-    def mem_windows_executed(self):
-        return getattr(self._result, "mem_windows_executed", 0)
-
-    @property
-    def mem_window_insts(self):
-        return getattr(self._result, "mem_window_insts", 0)
+def worker_restarts(registry: MetricsRegistry) -> Counter:
+    """The counter of worker processes restarted by a backend."""
+    return registry.counter("repro_worker_restarts_total",
+                            "Worker processes restarted by the backend.")
 
 
 def trial_counts(registry: MetricsRegistry

@@ -68,19 +68,16 @@ class CoordinatorApiError(ReproError):
 class CoordinatorServer:
     """Threaded HTTP front-end over a :class:`Coordinator`.
 
-    ``port=0`` binds an ephemeral port (tests, single-host campaigns);
-    ``on_heartbeat(shard_id)`` lets the service runner mirror worker
-    liveness into its metrics heartbeat.  ``metrics`` is the
-    :class:`~repro.service.metrics.ServiceMetrics` hub behind
-    ``GET /v1/metrics``; when not given, the server builds its own over
-    the coordinator so the endpoint always exists.
+    ``port=0`` binds an ephemeral port (tests, single-host campaigns).
+    ``metrics`` is the :class:`~repro.service.metrics.ServiceMetrics`
+    hub behind ``GET /v1/metrics``; when not given, the server builds
+    its own over the coordinator so the endpoint always exists.
     """
 
     def __init__(self, coordinator: Coordinator, host: str = "127.0.0.1",
-                 port: int = 0, on_heartbeat=None, metrics=None) -> None:
+                 port: int = 0, metrics=None) -> None:
         self.coordinator = coordinator
         self.lock = threading.Lock()
-        self.on_heartbeat = on_heartbeat
         if metrics is None:
             from .metrics import ServiceMetrics
 
@@ -139,8 +136,8 @@ class CoordinatorServer:
                     return
                 if self.path == "/v1/metrics":
                     with server.lock:
-                        server.metrics.refresh()
-                    self._send(server.metrics.render().encode(), 200,
+                        text = server.metrics.render()
+                    self._send(text.encode(), 200,
                                "text/plain; version=0.0.4; charset=utf-8")
                     return
                 self._not_found("GET")
@@ -174,15 +171,10 @@ class CoordinatorServer:
         if path == "/v1/heartbeat":
             lease_id = str(body.get("lease_id", ""))
             ok = coordinator.heartbeat(lease_id)
-            if ok:
-                lease = coordinator.leases.get(lease_id)
-                if lease is not None:
-                    if self.on_heartbeat is not None:
-                        self.on_heartbeat(lease.shard_id)
-                    snapshot = body.get("metrics")
-                    if snapshot:
-                        self.metrics.ingest_worker_snapshot(
-                            lease.shard_id, snapshot)
+            snapshot = body.get("metrics")
+            if ok and snapshot:
+                self.metrics.ingest_worker_snapshot(
+                    coordinator.leases[lease_id].shard_id, snapshot)
             return {"ok": ok}
         if path == "/v1/complete":
             return {"ok": coordinator.complete(

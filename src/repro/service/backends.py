@@ -39,23 +39,12 @@ class BackendOptions:
     heartbeat_interval_s: float = 0.5
     max_worker_restarts: int = 16
     progress: bool = False
-    #: Mirror worker liveness / completions into the metrics heartbeat.
-    on_heartbeat: object = None     # callable(shard_id) | None
-    on_shard_done: object = None    # callable(shard_id, trials) | None
     on_worker_restart: object = None  # callable() | None
     #: Service metrics hub (repro.service.metrics.ServiceMetrics); the
     #: HTTP backend serves it at GET /v1/metrics.
     metrics: object = None
     #: Test seam: trial executor for the inline backend.
     execute: object = None
-
-    def note_heartbeat(self, shard_id: int) -> None:
-        if self.on_heartbeat is not None:
-            self.on_heartbeat(shard_id)
-
-    def note_done(self, shard_id: int, trials: int) -> None:
-        if self.on_shard_done is not None:
-            self.on_shard_done(shard_id, trials)
 
     def note_restart(self) -> None:
         if self.on_worker_restart is not None:
@@ -100,10 +89,8 @@ class InlineBackend:
             assignment = _assignment_from_lease(lease, opts)
             sid = assignment.shard.shard_id
 
-            def on_trial(result, lease_id=lease["lease_id"],
-                         shard_id=sid) -> None:
+            def on_trial(result, lease_id=lease["lease_id"]) -> None:
                 coordinator.heartbeat(lease_id)
-                opts.note_heartbeat(shard_id)
 
             if opts.progress:
                 print(f"  shard {sid}: {assignment.shard.trials} trials "
@@ -114,8 +101,7 @@ class InlineBackend:
                 coordinator.fail(lease["lease_id"],
                                  f"{type(exc).__name__}: {exc}")
                 continue
-            if coordinator.complete(lease["lease_id"]):
-                opts.note_done(sid, assignment.shard.trials)
+            coordinator.complete(lease["lease_id"])
 
 
 def worker_command(extra: list[str]) -> list[str]:
@@ -138,18 +124,15 @@ def worker_env() -> dict:
 
 
 class _WorkerProc:
-    __slots__ = ("proc", "lease_id", "shard_id", "trials", "started",
-                 "heartbeat_path", "assignment_path", "last_beat")
+    __slots__ = ("proc", "lease_id", "started", "heartbeat_path",
+                 "assignment_path")
 
     def __init__(self, proc, lease, assignment_path, now):
         self.proc = proc
         self.lease_id = lease["lease_id"]
-        self.shard_id = lease["shard"]["shard_id"]
-        self.trials = (lease["shard"]["stop"] - lease["shard"]["start"])
         self.heartbeat_path = lease.get("heartbeat_path")
         self.assignment_path = assignment_path
         self.started = now
-        self.last_beat = now
 
 
 class SubprocessBackend:
@@ -178,10 +161,8 @@ class SubprocessBackend:
                         continue
                     procs.remove(worker)
                     self._cleanup(worker)
-                    if code == 0:
-                        if coordinator.complete(worker.lease_id):
-                            opts.note_done(worker.shard_id, worker.trials)
-                            continue
+                    if code == 0 and coordinator.complete(worker.lease_id):
+                        continue
                     coordinator.fail(worker.lease_id,
                                      f"worker exited with code {code}")
                     opts.note_restart()
@@ -189,9 +170,7 @@ class SubprocessBackend:
                 # (expired by the coordinator, or superseded on resume).
                 for worker in list(procs):
                     if self._beating(worker, now, opts):
-                        worker.last_beat = now
-                        if coordinator.heartbeat(worker.lease_id):
-                            opts.note_heartbeat(worker.shard_id)
+                        coordinator.heartbeat(worker.lease_id)
                 coordinator.expire_stale()
                 for worker in list(procs):
                     if worker.lease_id not in coordinator.leases:
@@ -271,9 +250,7 @@ class HttpBackend:
         from .api import CoordinatorServer
 
         server = CoordinatorServer(coordinator, host=self.host,
-                                   port=self.port,
-                                   on_heartbeat=opts.on_heartbeat,
-                                   metrics=opts.metrics)
+                                   port=self.port, metrics=opts.metrics)
         server.start()
         if opts.progress:
             print(f"  coordinator API at {server.url} "
@@ -294,25 +271,12 @@ class HttpBackend:
                                 str(opts.heartbeat_interval_s)]),
                 env=env, stdout=stdout, stderr=stdout)
 
-        noted_done: set[int] = set()
-
-        def note_new_done() -> None:
-            from .coordinator import DONE
-
-            for shard in coordinator.shards:
-                sid = shard.shard_id
-                if (coordinator.state[sid] == DONE
-                        and sid not in noted_done):
-                    noted_done.add(sid)
-                    opts.note_done(sid, shard.trials)
-
         try:
             for _ in range(max(1, opts.workers)):
                 spawn()
             while True:
                 with server.lock:
                     coordinator.expire_stale()
-                    note_new_done()
                     finished = coordinator.finished
                 if finished:
                     break

@@ -11,8 +11,8 @@ text via ``GET /v1/metrics``:
 * **shard journals** — trial rows are tailed incrementally from each
   shard's JSONL journal (complete lines only, deduped by trial key, so
   a shard retried after worker death never double-counts) and folded
-  through ``observe_trial`` into ``repro_trials_total`` and the
-  simulator aggregate counters;
+  through ``observe_row`` into ``repro_trials_total`` and
+  ``repro_trial_cycles_total`` (journal rows carry no telemetry);
 * **worker heartbeats** — the snapshot each polling worker attaches to
   its HTTP heartbeat surfaces as per-shard labeled gauges
   (``repro_shard_completed_trials{shard=...}`` and friends);
@@ -21,9 +21,13 @@ text via ``GET /v1/metrics``:
 
 Counting trials from the journals (not from in-flight callbacks) is
 what makes the acceptance invariant hold exactly: after the final
-``refresh``/``ingest_results``, ``repro_trials_total`` sums to the
-merged journal's row count — including quarantine placeholders — no
-matter how many workers died along the way.
+``ingest_results``, ``repro_trials_total`` sums to the merged journal's
+row count — including quarantine placeholders — no matter how many
+workers died along the way.
+
+The hub registers ``refresh`` as a collector of its registry, so every
+view — a scrape, a ``--metrics-prom`` snapshot, the coordinator's
+campaign heartbeat — sees current lease gauges and journal tails.
 """
 
 from __future__ import annotations
@@ -33,7 +37,8 @@ import os
 import threading
 
 from ..core.campaign import TrialResult
-from ..obs.metrics import MetricsRegistry, observe_trial
+from ..obs.metrics import (MetricsRegistry, observe_resumed, observe_row,
+                           worker_restarts)
 from .coordinator import Coordinator, DONE, LEASED, PENDING, QUARANTINED
 
 #: Latency buckets for coordinator HTTP endpoints (localhost JSON calls
@@ -66,8 +71,9 @@ class ServiceMetrics:
     Event callbacks (``on_transition``, ``observe_http``,
     ``ingest_worker_snapshot``) are cheap and callable from any thread;
     ``refresh()`` does the pull-side work — state gauges plus the
-    incremental journal tail — and is what the ``/v1/metrics`` handler
-    runs under the server lock before rendering.
+    incremental journal tail — and runs whenever the registry is
+    collected (the ``/v1/metrics`` handler renders under the server
+    lock).
     """
 
     def __init__(self, coordinator: Coordinator,
@@ -84,9 +90,7 @@ class ServiceMetrics:
         self._expiries = registry.counter(
             "repro_lease_expiries_total",
             "Leases revoked for missed heartbeats or TTL overrun.")
-        self._restarts = registry.counter(
-            "repro_worker_restarts_total",
-            "Worker processes restarted by the backend.")
+        self._restarts = worker_restarts(registry)
         self._shard_states = registry.gauge(
             "repro_shards", "Shards currently in each lease state.",
             ("state",))
@@ -102,6 +106,7 @@ class ServiceMetrics:
             "repro_http_request_seconds",
             "Coordinator HTTP request latency by endpoint.", ("path",),
             buckets=_HTTP_BUCKETS)
+        registry.add_collector(self.refresh)
 
     # ------------------------------------------------------------------
     # Push-side hooks (cheap, any thread)
@@ -130,11 +135,17 @@ class ServiceMetrics:
                 gauge = self.registry.gauge(name, help, ("shard",))
                 gauge.labels(shard=str(shard_id)).set(value)
 
+    def ingest_resumed(self, rows) -> None:
+        """Count the rows resumed from a prior merged journal (before
+        any shard journal is tailed, so nothing is seen yet)."""
+        with self._lock:
+            self._seen.update(row.key for row in rows)
+        observe_resumed(self.registry, rows)
+
     def ingest_results(self, results) -> None:
-        """Fold already-loaded trial rows (resumed from a prior merged
-        journal, or the final merged result set with quarantine
+        """Fold the final merged result set (with quarantine
         placeholders) into the trial counters, deduped against
-        everything tailed from shard journals."""
+        everything already counted."""
         fresh = []
         with self._lock:
             for result in results:
@@ -143,10 +154,10 @@ class ServiceMetrics:
                 self._seen.add(result.key)
                 fresh.append(result)
         for result in fresh:
-            observe_trial(self.registry, result)
+            observe_row(self.registry, result)
 
     # ------------------------------------------------------------------
-    # Pull-side refresh (under the server lock for coordinator state)
+    # Pull-side refresh (the registry collector; any thread)
     # ------------------------------------------------------------------
     def refresh(self) -> None:
         """Bring state gauges and journal-derived counters up to date."""
@@ -157,8 +168,10 @@ class ServiceMetrics:
         for state, count in counts.items():
             self._shard_states.labels(state=state).set(count)
         now = coordinator.clock()
+        # list() copies the leases at once: a backend thread may lease
+        # or release one while a heartbeat thread collects.
         age_by_shard = {lease.shard_id: now - lease.last_heartbeat
-                        for lease in coordinator.leases.values()}
+                        for lease in list(coordinator.leases.values())}
         for shard in coordinator.shards:
             self._heartbeat_age.labels(shard=str(shard.shard_id)).set(
                 age_by_shard.get(shard.shard_id, NO_LEASE_AGE))
@@ -211,11 +224,10 @@ class ServiceMetrics:
                     self._seen.add(result.key)
                     fresh.append(result)
         for result in fresh:
-            observe_trial(self.registry, result)
+            observe_row(self.registry, result)
 
     def render(self) -> str:
-        """Prometheus text for the current registry state (call
-        ``refresh()`` first for up-to-date gauges)."""
+        """Prometheus text for the current registry state."""
         return self.registry.render()
 
 

@@ -76,9 +76,8 @@ def run_sharded_campaign(spec: CampaignSpec, *, shards: int,
         if progress:
             print(f"  campaign already complete in {path}", flush=True)
         if registry is not None:
-            from ..obs.metrics import observe_trial
-            for row in prior:
-                observe_trial(registry, row)
+            from ..obs.metrics import observe_resumed
+            observe_resumed(registry, prior)
         return CampaignReport(
             spec=spec, results=prior, cells=aggregate(prior),
             journal_path=path, complete=True,
@@ -91,32 +90,22 @@ def run_sharded_campaign(spec: CampaignSpec, *, shards: int,
     # The metrics hub observes everything: coordinator transitions (via
     # the on_event hook), trial rows (tailed from shard journals — the
     # only path that counts trials, so nothing double-counts), worker
-    # snapshots, and HTTP traffic.  Trial rows resumed from a prior
-    # merged journal count too — the scrape must always agree with the
-    # journal, not just with this process's work.
+    # restarts and snapshots, and HTTP traffic.  Trial rows resumed from
+    # a prior merged journal count too — the scrape must always agree
+    # with the journal, not just with this process's work.
     hub = ServiceMetrics(coordinator, registry=registry)
     coordinator.on_event = hub.on_transition
-    hub.ingest_results(prior)
+    hub.ingest_resumed(prior)
     heartbeat = None
     if metrics_path is not None or on_snapshot is not None:
         from ..obs import CampaignHeartbeat
 
-        def snapshot_hook(record):
-            # Tail shard journals on every heartbeat tick so a live
-            # dashboard's registry view (per-cell Wilson table) stays
-            # current even when nobody is scraping /v1/metrics.
-            try:
-                hub.refresh()
-            except Exception:
-                pass
-            if on_snapshot is not None:
-                on_snapshot(record)
-
+        # A view of the hub's registry: collecting it for each record
+        # refreshes the lease gauges and tails the shard journals.
         heartbeat = CampaignHeartbeat(metrics_path,
                                       len(spec.trial_specs()),
-                                      on_snapshot=snapshot_hook).start()
-        if prior:
-            heartbeat.note_resumed(len(prior))
+                                      registry=hub.registry,
+                                      on_snapshot=on_snapshot).start()
     options = _backend_options or BackendOptions()
     options.workers = workers if workers is not None else \
         max(1, min(len(coordinator.shards), os.cpu_count() or 1))
@@ -126,17 +115,7 @@ def run_sharded_campaign(spec: CampaignSpec, *, shards: int,
     options.max_worker_restarts = max_worker_restarts
     options.progress = progress
     options.metrics = hub
-
-    def on_restart() -> None:
-        hub.note_worker_restart()
-        if heartbeat is not None:
-            heartbeat.note_worker_restart()
-
-    options.on_worker_restart = on_restart
-    if heartbeat is not None:
-        options.on_heartbeat = heartbeat.note_shard_heartbeat
-        options.on_shard_done = \
-            lambda sid, trials: heartbeat.note_shard_done(sid, trials)
+    options.on_worker_restart = hub.note_worker_restart
 
     launcher = backend_by_name(backend)
     if isinstance(launcher, HttpBackend):
@@ -157,14 +136,29 @@ def run_sharded_campaign(spec: CampaignSpec, *, shards: int,
             launcher.run(coordinator, options)
         finally:
             release_goldens()
+        results = _merge(spec, sdir, coordinator, prior)
+        write_merged_journal(spec, results, path)
+        # Final metrics truth-up: whatever the live tail missed (rows
+        # appended since the last collect, quarantine placeholders) lands
+        # now, so the registry's verdict counters — and the heartbeat's
+        # final record — equal the merged journal exactly.
+        hub.ingest_results(results)
     finally:
         if heartbeat is not None:
             heartbeat.stop()
         coordinator.close()
+    return CampaignReport(
+        spec=spec, results=results, cells=aggregate(results),
+        journal_path=path,
+        complete={r.key for r in results} >= expected,
+        infra_failures=sum(r.outcome == INFRA_ERROR for r in results))
 
-    # Merge: shard journals + any previously merged rows, deduped into
-    # canonical order; quarantined shards contribute infra_error
-    # placeholders for whatever they never measured.
+
+def _merge(spec: CampaignSpec, sdir: str, coordinator: Coordinator,
+           prior: list) -> list:
+    """Shard journals + any previously merged rows, deduped into
+    canonical order; quarantined shards contribute infra_error
+    placeholders for whatever they never measured."""
     rows = load_shard_results(spec, sdir, coordinator.shards) + prior
     placeholders = []
     if coordinator.quarantined:
@@ -183,18 +177,7 @@ def run_sharded_campaign(spec: CampaignSpec, *, shards: int,
                 trial_by_key[key],
                 detail=f"shard {sid} quarantined: {reason}",
                 attempts=coordinator.failures[sid]))
-    results = merge_shard_results(spec, rows + placeholders)
-    write_merged_journal(spec, results, path)
-    # Final metrics truth-up: whatever the live tail missed (unscraped
-    # rows, quarantine placeholders minted just above) lands now, so
-    # the registry's verdict counters equal the merged journal exactly.
-    hub.refresh()
-    hub.ingest_results(results)
-    return CampaignReport(
-        spec=spec, results=results, cells=aggregate(results),
-        journal_path=path,
-        complete={r.key for r in results} >= expected,
-        infra_failures=sum(r.outcome == INFRA_ERROR for r in results))
+    return merge_shard_results(spec, rows + placeholders)
 
 
 __all__ = ["default_shard_dir", "run_sharded_campaign"]

@@ -114,3 +114,49 @@ class TestFunctionalEquivalence:
         params, mem2 = prepare_launch(compiled, (1.0,), mem, 2, 64)
         assert params == (1.0,)
         assert mem2 is mem
+
+
+#: Prints a digest of each kernel's compiled form (listing, labels,
+#: register count) as one JSON line.
+_COMPILED_FORMS = """
+import hashlib, json
+from repro.compiler import compile_kernel, scheme_by_name
+from repro.workloads import workload_by_name
+forms = {}
+for workload in ("SGEMM", "NN"):
+    for scheme in ("baseline", "flame"):
+        compiled = compile_kernel(workload_by_name(workload).instance(
+            "tiny").kernel, scheme_by_name(scheme), wcdl=20)
+        kernel = compiled.kernel
+        text = "\\n".join(str(inst) for inst in kernel.instructions)
+        text += json.dumps(kernel.labels, sort_keys=True)
+        text += str(compiled.regs_per_thread)
+        forms[workload + "/" + scheme] = hashlib.sha256(
+            text.encode()).hexdigest()
+print(json.dumps(forms))
+"""
+
+
+class TestProcessIndependence:
+    def test_compiled_form_ignores_the_hash_seed(self):
+        """Register sets iterate in hash order, and the coloring follows
+        it: a hash that varies per process would compile the same
+        kernel differently in different shard workers."""
+        import json
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        forms = []
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                       PYTHONPATH=src)
+            out = subprocess.run([sys.executable, "-c", _COMPILED_FORMS],
+                                 env=env, capture_output=True, text=True,
+                                 check=True, timeout=120).stdout
+            forms.append(json.loads(out))
+        assert len(forms[0]) == 4
+        assert forms[0] == forms[1]

@@ -9,6 +9,8 @@ from repro.compiler import compile_kernel, prepare_launch, scheme_by_name
 from repro.core import FlameRuntime
 from repro.isa import (CmpOp, Imm, Instruction, Kernel, KernelBuilder, Op,
                        Pred, Reg, Space, Special)
+from repro.obs.heartbeat import COUNT_KEYS
+from repro.obs.metrics import SIM_COUNTERS
 from repro.sim import Gpu, LaunchConfig, NULL_RESILIENCE
 
 
@@ -217,6 +219,32 @@ def run_compiled(instance, scheme_name: str, wcdl: int = 20,
                         regs_per_thread=compiled.regs_per_thread,
                         **launch_kwargs)
     return result, mem, instance.verify(mem)
+
+
+# ----------------------------------------------------------------------
+# Campaign telemetry
+# ----------------------------------------------------------------------
+def assert_record_matches_registry(record, registry):
+    """Every count in a heartbeat record equals its registry family."""
+    families = {f["name"]: f["series"] for f in registry.collect()}
+
+    def total(name, **match):
+        return sum(s["value"] for s in families.get(name, ())
+                   if match.items() <= s["labels"].items())
+
+    for key, (name, match) in COUNT_KEYS.items():
+        assert record[key] == total(name, **match), key
+    assert record["completed"] + record["resumed_from_journal"] == \
+        total("repro_trials_total")
+    for name, spec in SIM_COUNTERS.items():
+        fixed = dict(spec.labels)
+        if spec.key_label is None:
+            assert record[name] == total(spec.family, **fixed), name
+        else:
+            assert sum(record[name].values()) == \
+                total(spec.family, **fixed), name
+    if "shards_done" in record:
+        assert record["shards_done"] == total("repro_shards", state="done")
 
 
 @pytest.fixture

@@ -14,6 +14,8 @@ from repro.core.campaign import (CampaignSpec, INFRA_ERROR, OUTCOMES,
                                  run_trial)
 from repro.harness.campaign import (CampaignRunner, default_journal_path,
                                     run_campaign)
+from repro.obs import MetricsRegistry
+from tests.conftest import assert_record_matches_registry
 
 
 def small_spec(trials=4, **kwargs):
@@ -251,3 +253,40 @@ class TestBackoffPolicy:
         final = json.loads(metrics.read_text().splitlines()[-1])
         assert final["retries"] == 2
         assert final["infra_failures"] == 0
+
+
+class TestResumedTelemetry:
+    def _truncated_journal(self, tmp_path, keep):
+        """A finished 4-row journal cut back to its header plus ``keep``
+        rows, as a killed campaign leaves it."""
+        spec = small_spec(trials=2)
+        path = tmp_path / "j.jsonl"
+        run_campaign(spec, workers=1, journal_path=str(path))
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:1 + keep]))
+        return spec, str(path)
+
+    def test_resumed_rows_count_as_trials(self, tmp_path):
+        spec, path = self._truncated_journal(tmp_path, keep=2)
+        registry = MetricsRegistry()
+        report = run_campaign(spec, workers=1, journal_path=path,
+                              registry=registry)
+        assert len(report.results) == 4
+        trials = registry.get("repro_trials_total")
+        assert sum(child.value for _, child in trials._series()) == 4
+        # Only the two trials run here carry wall times.
+        wall = registry.get("repro_trial_wall_seconds")
+        assert sum(child.count for _, child in wall._series()) == 2
+
+    def test_final_record_is_a_view_of_the_registry(self, tmp_path):
+        spec, path = self._truncated_journal(tmp_path, keep=2)
+        registry = MetricsRegistry()
+        metrics = tmp_path / "metrics.jsonl"
+        run_campaign(spec, workers=1, journal_path=path,
+                     metrics_path=str(metrics), registry=registry)
+        final = json.loads(metrics.read_text().splitlines()[-1])
+        assert final["resumed_from_journal"] == 2
+        assert final["completed"] == 2
+        assert final["remaining"] == 0
+        assert final["sim_cycles"] > 0
+        assert_record_matches_registry(final, registry)

@@ -1,25 +1,25 @@
 """Campaign heartbeat: record schema, rates, and fault tolerance."""
 
 import json
-from dataclasses import dataclass
 
-from repro.obs import CampaignHeartbeat
+from repro.core.campaign import TrialResult
+from repro.obs import CampaignHeartbeat, MetricsRegistry
+from repro.obs.metrics import (observe_resumed, observe_row, trial_retries,
+                               worker_restarts)
+from tests.conftest import assert_record_matches_registry
 
 
-@dataclass
-class FakeResult:
-    outcome: str = "masked"
-    cycles: int = 1000
-    wall_time_s: float = 0.25
-    fast_start: bool = False
-    converged: bool = False
-    golden_cache_hit: bool = False
-    superblocks_executed: int = 0
-    superblock_fallbacks: dict = None
-
-    def __post_init__(self):
-        if self.superblock_fallbacks is None:
-            self.superblock_fallbacks = {}
+def FakeResult(outcome="masked", cycles=1000, wall_time_s=0.25,
+               fast_start=False, converged=False, golden_cache_hit=False,
+               golden_shared=False, index=0, **telemetry) -> TrialResult:
+    """A freshly executed trial; keywords beyond the trial-level fields
+    are its exported simulator counters."""
+    return TrialResult(workload="Triad", scheme="flame", index=index,
+                       outcome=outcome, cycles=cycles,
+                       wall_time_s=wall_time_s, fast_start=fast_start,
+                       converged=converged,
+                       golden_cache_hit=golden_cache_hit,
+                       golden_shared=golden_shared, telemetry=telemetry)
 
 
 def _records(path) -> list[dict]:
@@ -56,8 +56,9 @@ class TestHeartbeat:
         path = tmp_path / "metrics.jsonl"
         hb = CampaignHeartbeat(str(path), total_trials=10, interval=60.0)
         hb.start()
-        hb.note_resumed(7)
-        hb.note_trial(FakeResult())
+        observe_resumed(hb.registry, [FakeResult(index=i)
+                                      for i in range(7)])
+        hb.note_trial(FakeResult(index=7))
         hb.stop()
         last = _records(path)[-1]
         assert last["resumed_from_journal"] == 7
@@ -68,7 +69,7 @@ class TestHeartbeat:
         hb = CampaignHeartbeat(str(path), total_trials=2, interval=60.0)
         hb.start()
         hb.note_trial(FakeResult(outcome="infra_error"))
-        hb.note_worker_restart()
+        worker_restarts(hb.registry).inc()
         hb.stop()
         last = _records(path)[-1]
         assert last["infra_failures"] == 1
@@ -140,30 +141,16 @@ class TestRateGuards:
             assert record["elapsed_s"] >= 0
 
 
-@dataclass
-class FakeCellResult(FakeResult):
-    workload: str = "Triad"
-    scheme: str = "flame"
-    site: str = "dest_reg"
-    golden_shared: bool = False
-    stall_cycles: dict = None
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.stall_cycles is None:
-            self.stall_cycles = {}
-
-
 class TestRegistryBridge:
     def test_note_trial_feeds_registry(self, tmp_path):
-        from repro.obs import MetricsRegistry, trial_counts
+        from repro.obs import trial_counts
 
         registry = MetricsRegistry()
         hb = CampaignHeartbeat(str(tmp_path / "m.jsonl"), total_trials=2,
                                registry=registry)
         hb.start()
-        hb.note_trial(FakeCellResult())
-        hb.note_trial(FakeCellResult(outcome="sdc"))
+        hb.note_trial(FakeResult())
+        hb.note_trial(FakeResult(outcome="sdc"))
         hb.stop()
         counts = trial_counts(registry)
         assert counts[("Triad", "flame", "dest_reg")] == {"masked": 1,
@@ -184,11 +171,23 @@ class TestRegistryBridge:
         hb.stop()
         assert list(tmp_path.iterdir()) == []
 
+    def test_heartbeat_counts_nothing_itself(self):
+        registry = MetricsRegistry()
+        hb = CampaignHeartbeat(None, total_trials=3, registry=registry)
+        before = dict(vars(hb))
+        hb.note_trial(FakeResult(stall_cycles={"rollback": 4}))
+        hb.note_trial(FakeResult(outcome="infra_error", fast_start=True))
+        trial_retries(registry).inc()
+        assert vars(hb) == before
+        snap = hb.snapshot()
+        assert snap["completed"] == 2 and snap["retries"] == 1
+        assert_record_matches_registry(snap, registry)
+
     def test_stall_cycles_aggregate_into_snapshot(self, tmp_path):
         hb = CampaignHeartbeat(None, total_trials=2)
-        hb.note_trial(FakeCellResult(
+        hb.note_trial(FakeResult(
             stall_cycles={"rollback": 10, "barrier": 5}))
-        hb.note_trial(FakeCellResult(stall_cycles={"rollback": 2}))
+        hb.note_trial(FakeResult(stall_cycles={"rollback": 2}))
         snap = hb.snapshot()
         assert snap["stall_cycles"] == {"barrier": 5, "rollback": 12}
 
@@ -210,19 +209,11 @@ class TestSuperblockTelemetry:
                                                 "injector": 4}
 
     def test_schema_tolerates_results_without_counters(self, tmp_path):
-        @dataclass
-        class OldResult:
-            outcome: str = "masked"
-            cycles: int = 100
-            wall_time_s: float = 0.1
-            fast_start: bool = False
-            converged: bool = False
-            golden_cache_hit: bool = False
-
+        # A hung or crashed trial returns before copying any counter.
         path = tmp_path / "metrics.jsonl"
         hb = CampaignHeartbeat(str(path), total_trials=1, interval=60.0)
         hb.start()
-        hb.note_trial(OldResult())
+        hb.note_trial(FakeResult(outcome="due_hang", cycles=100))
         hb.stop()
         last = _records(path)[-1]
         assert last["superblocks_executed"] == 0
@@ -234,8 +225,8 @@ class TestShardTelemetry:
         path = tmp_path / "metrics.jsonl"
         hb = CampaignHeartbeat(str(path), total_trials=4, interval=60.0)
         hb.start()
-        hb.note_retry()
-        hb.note_retry()
+        trial_retries(hb.registry).inc()
+        trial_retries(hb.registry).inc()
         hb.stop()
         assert _records(path)[-1]["retries"] == 2
 
@@ -262,21 +253,29 @@ class TestShardTelemetry:
         assert last["worker_id"] == "subproc-7"
 
     def test_shard_liveness_reported_as_staleness(self, tmp_path):
+        # The service hub's heartbeat-age gauge; -1 marks a shard with
+        # no active lease, which the record leaves out.
         path = tmp_path / "metrics.jsonl"
         hb = CampaignHeartbeat(str(path), total_trials=8, interval=60.0)
+        ages = hb.registry.gauge("repro_worker_heartbeat_age_seconds",
+                                 "age", ("shard",))
+        for shard, age in ((0, 0.5), (1, -1.0), (3, 2.0)):
+            ages.labels(shard=str(shard)).set(age)
         hb.start()
-        hb.note_shard_heartbeat(0)
-        hb.note_shard_heartbeat(3)
         hb.stop()
         staleness = _records(path)[-1]["shard_staleness_s"]
-        assert set(staleness) == {"0", "3"}
-        assert all(age >= 0 for age in staleness.values())
+        assert staleness == {"0": 0.5, "3": 2.0}
 
     def test_shard_done_counts_trials_as_completed(self, tmp_path):
+        # A sharded campaign counts the rows tailed from shard journals
+        # and reads finished shards from the hub's lease-state gauge.
         path = tmp_path / "metrics.jsonl"
         hb = CampaignHeartbeat(str(path), total_trials=10, interval=60.0)
+        hb.registry.gauge("repro_shards", "shards", ("state",)).labels(
+            state="done").set(1)
+        for index in range(5):
+            observe_row(hb.registry, FakeResult(index=index))
         hb.start()
-        hb.note_shard_done(1, trials=5)
         hb.stop()
         last = _records(path)[-1]
         assert last["shards_done"] == 1

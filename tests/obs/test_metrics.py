@@ -6,9 +6,10 @@ import threading
 import pytest
 
 from repro.errors import ConfigError
-from repro.obs.metrics import (Counter, MetricsRegistry, observe_sim_stats,
-                               observe_trial, parse_prom_text, render_prom,
-                               trial_counts, validate_prom_text)
+from repro.obs.metrics import (SIM_COUNTERS, Counter, MetricsRegistry,
+                               SimCounter, observe_sim_stats, observe_trial,
+                               parse_prom_text, render_prom, trial_counts,
+                               validate_prom_text)
 
 
 class TestLabelHygiene:
@@ -170,24 +171,23 @@ class TestExposition:
         assert any("duplicate" in p for p in validate_prom_text(text))
 
 
-class FakeStats:
-    instructions = 100
-    cycles = 40
-    stall_cycles = {"rollback": 7, "barrier": 3}
-    l1_hits = 5
-    l1_misses = 1
-    l2_hits = 0
-    l2_misses = 0
-    superblocks_executed = 4
-    superblock_fallbacks = {"divergence": 2}
-    mem_windows_executed = 3
-    mem_window_insts = 30
+#: One run's exported simulator counters (``TrialResult.telemetry``).
+FAKE_COUNTERS = {
+    "instructions": 100,
+    "stall_cycles": {"rollback": 7, "barrier": 3},
+    "l1_hits": 5,
+    "l1_misses": 1,
+    "superblocks_executed": 4,
+    "superblock_fallbacks": {"divergence": 2},
+    "mem_windows_executed": 3,
+    "mem_window_insts": 30,
+}
 
 
 class TestStackInstrumentation:
     def test_observe_sim_stats_names_and_labels(self):
         registry = MetricsRegistry()
-        observe_sim_stats(registry, FakeStats(), {"workload": "Triad"})
+        observe_sim_stats(registry, FAKE_COUNTERS, {"workload": "Triad"})
         text = render_prom(registry)
         assert validate_prom_text(text) == []
         families, _ = parse_prom_text(text)
@@ -227,11 +227,7 @@ class TestStackInstrumentation:
 
     def test_zero_valued_labeled_series_are_not_emitted(self):
         registry = MetricsRegistry()
-
-        class Empty:
-            pass
-
-        observe_sim_stats(registry, Empty(), {})
+        observe_sim_stats(registry, {}, {})
         families, _ = parse_prom_text(render_prom(registry))
         # Labeled families stay sample-free until a nonzero bump —
         # otherwise every scrape would fabricate zero-cycle stall
@@ -239,3 +235,39 @@ class TestStackInstrumentation:
         # conventional exposition of an untouched counter.)
         assert families["repro_stall_cycles_total"]["samples"] == []
         assert families["repro_sim_cache_events_total"]["samples"] == []
+
+
+class TestCounterTable:
+    def test_table_lists_every_exported_counter(self):
+        registry = MetricsRegistry()
+        observe_sim_stats(registry, FAKE_COUNTERS)
+        families, _ = parse_prom_text(render_prom(registry))
+        assert set(FAKE_COUNTERS) == set(SIM_COUNTERS)
+        assert {spec.family for spec in SIM_COUNTERS.values()} <= \
+            set(families)
+        assert "repro_sim_cycles_total" not in families
+
+    def test_new_counter_reaches_every_view(self, monkeypatch):
+        """One table entry is the whole change: a counter not exported
+        today reaches the trial's telemetry, the Prometheus exposition
+        and the heartbeat record."""
+        from repro.core.campaign import TrialSpec, run_trial
+        from repro.obs import CampaignHeartbeat
+
+        monkeypatch.setitem(SIM_COUNTERS, "atomic_ops", SimCounter(
+            "repro_sim_atomic_ops_total", "Atomic operations executed."))
+        result = run_trial(TrialSpec(workload="IS", scheme="flame",
+                                     index=0, campaign_seed=1,
+                                     checkpoint=False))
+        atomics = result.telemetry["atomic_ops"]
+        assert atomics > 0
+        assert "atomic_ops" not in result.as_dict()
+
+        heartbeat = CampaignHeartbeat(None, total_trials=1)
+        heartbeat.note_trial(result)
+        text = render_prom(heartbeat.registry)
+        assert validate_prom_text(text) == []
+        families, _ = parse_prom_text(text)
+        samples = families["repro_sim_atomic_ops_total"]["samples"]
+        assert [value for _, _, value in samples] == [atomics]
+        assert heartbeat.snapshot()["atomic_ops"] == atomics

@@ -14,11 +14,13 @@ from repro.core.campaign import (CampaignJournal, CampaignSpec,
                                  INFRA_ERROR, MASKED, TrialResult)
 from repro.errors import ConfigError
 from repro.harness.campaign import run_campaign, write_aggregates
+from repro.obs import MetricsRegistry
 from repro.service.backends import (BACKENDS, BackendOptions, HttpBackend,
                                     InlineBackend, SubprocessBackend,
                                     backend_by_name)
 from repro.service.runner import default_shard_dir, run_sharded_campaign
 from repro.service.shard import split_campaign
+from tests.conftest import assert_record_matches_registry
 
 
 def real_spec():
@@ -166,6 +168,31 @@ class TestInlineBackend:
         assert final["completed"] == len(spec.trial_specs())
         assert "shard_staleness_s" in final
 
+    def test_final_record_is_a_view_of_the_hub_registry(self, tmp_path):
+        registry = MetricsRegistry()
+        metrics = tmp_path / "metrics.jsonl"
+        report, _ = run_backend("inline", tmp_path, workers=1,
+                                metrics_path=str(metrics),
+                                registry=registry)
+        final = json.loads(metrics.read_text().splitlines()[-1])
+        assert final["completed"] == len(report.results) == 4
+        assert final["shard_staleness_s"] == {}  # no shard is leased
+        assert_record_matches_registry(final, registry)
+
+    def test_journal_rows_record_no_wall_times(self, tmp_path):
+        """The hub only sees journal rows, which carry no telemetry: no
+        fabricated 0 s wall-time samples, so the report's wall-time
+        table reads unavailable."""
+        from repro.harness.report import write_campaign_report
+
+        registry = MetricsRegistry()
+        report, _ = run_backend("inline", tmp_path, workers=1,
+                                registry=registry)
+        assert registry.get("repro_trial_wall_seconds") is None
+        html = tmp_path / "report.html"
+        write_campaign_report(report, str(html), registry=registry)
+        assert "Unavailable without a metrics snapshot" in html.read_text()
+
 
 class TestSubprocessBackend:
     def test_real_campaign_matches_single_process_run(self, tmp_path,
@@ -195,6 +222,23 @@ class TestSubprocessBackend:
         # Four shards, four fresh worker processes, one golden cell
         # each: all of them must have adopted rather than re-derived.
         assert hits >= len(heartbeats)
+
+
+    def test_sgemm_shards_match_inline_journal(self, tmp_path):
+        """Shard workers compile their own kernel but adopt the
+        coordinator's goldens, so every process must compile SGEMM to
+        the same code or rows turn into false SDC/DUE verdicts."""
+        spec = CampaignSpec(workloads=("SGEMM",), schemes=("flame",),
+                            trials=4, seed=11, scale="tiny")
+        inline = str(tmp_path / "inline.jsonl")
+        run_campaign(spec, workers=1, journal_path=inline)
+        merged = str(tmp_path / "merged.jsonl")
+        report = run_sharded_campaign(
+            spec, shards=2, backend="subprocess", workers=2,
+            journal_path=merged, shard_dir=str(tmp_path / "shards"),
+            poll_interval_s=0.1, heartbeat_interval_s=0.2)
+        assert report.complete
+        assert read_bytes(merged) == read_bytes(inline)
 
 
 class TestHttpBackend:

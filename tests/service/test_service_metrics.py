@@ -62,6 +62,65 @@ class TestHub:
         finally:
             coordinator.close()
 
+    def test_tailed_rows_add_no_telemetry(self, tmp_path):
+        from repro.core.campaign import CampaignJournal
+
+        coordinator = Coordinator(fake_spec(), str(tmp_path / "s"), 1)
+        hub = ServiceMetrics(coordinator)
+        try:
+            lease = coordinator.lease("w0")
+            journal = CampaignJournal(lease["journal_path"])
+            journal.write_header(coordinator.spec)
+            journal.append(result(0))
+            journal.append(result(1))
+            journal.close()
+            families, _ = parse_prom_text(hub.render())
+            cycles = families["repro_trial_cycles_total"]["samples"]
+            assert [value for _, _, value in cycles] == [200]
+            # Journal rows carry no wall time: none is fabricated.
+            assert "repro_trial_wall_seconds" not in families
+        finally:
+            coordinator.close()
+
+    def test_collect_races_lease_churn(self, tmp_path):
+        """The coordinator heartbeat collects the hub's registry on its
+        own thread while the backend grants and drops leases."""
+        import sys
+        import threading
+
+        from repro.service.coordinator import Lease
+
+        coordinator = Coordinator(fake_spec(), str(tmp_path / "s"), 2)
+        hub = ServiceMetrics(coordinator)
+        errors = []
+        stop = threading.Event()
+
+        def collect():
+            try:
+                while not stop.is_set():
+                    hub.registry.collect()
+            except Exception as exc:
+                errors.append(exc)
+
+        collectors = [threading.Thread(target=collect) for _ in range(3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in collectors:
+                thread.start()
+            for i in range(50_000):
+                coordinator.leases[f"L{i}"] = Lease(f"L{i}", i % 2, "w",
+                                                    0.0)
+                coordinator.leases.pop(f"L{i - 256}", None)
+        finally:
+            stop.set()
+            for thread in collectors:
+                thread.join(timeout=10)
+            sys.setswitchinterval(interval)
+            coordinator.close()
+        assert not any(thread.is_alive() for thread in collectors)
+        assert errors == []
+
     def test_ingest_results_dedupes_against_tail(self, tmp_path):
         coordinator = Coordinator(fake_spec(), str(tmp_path / "s"), 1)
         hub = ServiceMetrics(coordinator)
