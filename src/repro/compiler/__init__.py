@@ -10,7 +10,8 @@ from .dataflow import (Liveness, ParamOrigin, Provenance, ReachingDefs)
 from .duplication import DuplicationResult, duplicate_instructions
 from .editing import insert_instructions, remove_instructions
 from .pipeline import (CompiledKernel, Detection, Recovery, SCHEMES, Scheme,
-                       compile_kernel, prepare_launch, scheme_by_name)
+                       clear_compile_memo, compile_kernel, prepare_launch,
+                       scheme_by_name)
 from .regalloc import AllocationResult, allocate_registers
 from .regions import (RegionFormation, RegWarPolicy,
                       eligible_extension_barriers, form_regions,
@@ -23,9 +24,9 @@ __all__ = [
     "DuplicationResult", "Liveness", "MemLoc", "ParamOrigin", "Provenance",
     "ReachingDefs", "Recovery", "RegWarPolicy", "RegionFormation",
     "RegionState", "SCHEMES", "ScanResult", "Scheme", "allocate_registers",
-    "apply_tail_dmr", "compile_kernel", "duplicate_instructions",
-    "eligible_extension_barriers", "form_regions", "insert_checkpoints",
-    "insert_instructions", "prepare_launch", "region_size_profile",
-    "remove_instructions", "scan_kernel", "scheme_by_name",
-    "structural_boundaries", "tail_indices", "try_rename",
+    "apply_tail_dmr", "clear_compile_memo", "compile_kernel",
+    "duplicate_instructions", "eligible_extension_barriers", "form_regions",
+    "insert_checkpoints", "insert_instructions", "prepare_launch",
+    "region_size_profile", "remove_instructions", "scan_kernel",
+    "scheme_by_name", "structural_boundaries", "tail_indices", "try_rename",
 ]

@@ -10,8 +10,11 @@ previous one (WARAW) within the region.
 This pass merges fresh registers greedily: a merge is accepted iff the
 two registers never simultaneously live (value correctness) *and* a
 re-scan of the merged kernel reports no anti-dependence violations
-(idempotence correctness).  Kernels are small, so scan-validated
-merging is cheap and — unlike purely structural rules — obviously sound.
+(idempotence correctness).  Scan-validated merging is obviously sound,
+unlike purely structural rules, but it is not cheap: every candidate
+merge re-scans the whole kernel.  Forming SN's Flame regions (tiny)
+re-scans 139 times, about 0.9 s of its 3.2 s, and LUD's 300 times,
+about 3.8 s of 8.5 s (one core of a 2-CPU Xeon container).
 """
 
 from __future__ import annotations

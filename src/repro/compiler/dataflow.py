@@ -116,40 +116,63 @@ class ReachingDefs:
     A "definition" is an instruction index that writes a variable.  The
     virtual entry definition of a variable (parameters / initial zero
     state) is represented as -1.
+
+    ``only`` restricts the analysis to one variable: every query about
+    that variable answers exactly as the whole-kernel analysis would
+    (variables never interact in this problem), and every other
+    variable is left out.
     """
 
     ENTRY = -1
 
-    def __init__(self, cfg: Cfg) -> None:
+    def __init__(self, cfg: Cfg, only: Var | None = None) -> None:
         self.cfg = cfg
         kernel = cfg.kernel
         self.defs_of: dict[Var, list[int]] = {}
-        for i, inst in enumerate(kernel.instructions):
-            if inst.dst is not None:
-                self.defs_of.setdefault(inst.dst, []).append(i)
+        # Per block, the instructions that touch a tracked variable, as
+        # (index, tracked uses, tracked def or None, def kills).
+        self._events: list[list[tuple[int, list[Var], Var | None, bool]]] = []
+        for block in cfg.blocks:
+            events = []
+            for i in range(block.start, block.end):
+                inst = kernel.instructions[i]
+                if only is not None and not (
+                        inst.dst == only or inst.guard == only
+                        or only in inst.srcs):
+                    continue
+                dst, uses = _defs_uses(inst)
+                if only is not None:
+                    uses = [var for var in uses if var == only]
+                    dst = dst if dst == only else None
+                if dst is not None:
+                    self.defs_of.setdefault(dst, []).append(i)
+                events.append((i, uses, dst, _kills(inst)))
+            self._events.append(events)
         self.in_sets: list[dict[Var, set[int]]] = []
         self.use_defs: dict[tuple[int, Var], set[int]] = {}
         self.def_uses: dict[int, set[tuple[int, Var]]] = {}
         self._compute()
 
+    def _define(self, state: dict[Var, set[int]], i: int, dst: Var | None,
+                kills: bool) -> None:
+        if dst is not None:
+            if kills:
+                state[dst] = {i}
+            else:
+                state.setdefault(dst, {self.ENTRY}).add(i)
+
     def _compute(self) -> None:
         cfg = self.cfg
-        kernel = cfg.kernel
         num_blocks = len(cfg.blocks)
         all_vars = set(self.defs_of)
         entry_state = {var: {self.ENTRY} for var in all_vars}
         self.in_sets = [dict() for _ in range(num_blocks)]
         out_sets: list[dict[Var, set[int]]] = [dict() for _ in range(num_blocks)]
 
-        def transfer(state: dict[Var, set[int]], block) -> dict[Var, set[int]]:
+        def transfer(state: dict[Var, set[int]], b: int) -> dict[Var, set[int]]:
             state = {var: set(defs) for var, defs in state.items()}
-            for i in range(block.start, block.end):
-                inst = kernel.instructions[i]
-                if inst.dst is not None:
-                    if _kills(inst):
-                        state[inst.dst] = {i}
-                    else:
-                        state.setdefault(inst.dst, {self.ENTRY}).add(i)
+            for i, _, dst, kills in self._events[b]:
+                self._define(state, i, dst, kills)
             return state
 
         changed = True
@@ -166,25 +189,19 @@ class ReachingDefs:
                         merged.setdefault(var, set()).update(defs)
                 if merged != self.in_sets[b]:
                     self.in_sets[b] = merged
-                    out_sets[b] = transfer(merged, block)
+                    out_sets[b] = transfer(merged, b)
                     changed = True
         # Build chains by an in-block walk.
         for block in cfg.blocks:
             state = {var: set(defs)
                      for var, defs in self.in_sets[block.index].items()}
-            for i in range(block.start, block.end):
-                inst = kernel.instructions[i]
-                _, uses = _defs_uses(inst)
+            for i, uses, dst, kills in self._events[block.index]:
                 for var in uses:
                     reaching = frozenset(state.get(var, {self.ENTRY}))
                     self.use_defs[(i, var)] = set(reaching)
                     for d in reaching:
                         self.def_uses.setdefault(d, set()).add((i, var))
-                if inst.dst is not None:
-                    if _kills(inst):
-                        state[inst.dst] = {i}
-                    else:
-                        state.setdefault(inst.dst, {self.ENTRY}).add(i)
+                self._define(state, i, dst, kills)
 
     def uses_of_def(self, def_index: int) -> set[tuple[int, Var]]:
         return self.def_uses.get(def_index, set())

@@ -10,17 +10,27 @@ Section VI-B's nine configurations are combinations of:
 
 Every scheme, including the baseline, goes through the same PTX-level
 register allocation so comparisons are apples-to-apples.
+
+Register allocation and region formation are pure and by far the
+costliest passes, and the schemes share them: the four renaming-family
+schemes form the same regions, as do the four checkpointing ones, and
+a scheduler sweep recompiles the same scheme.  :func:`compile_kernel`
+therefore memoizes both in one bounded LRU keyed by the source
+kernel's content; every caller still gets its own kernel object.
 """
 
 from __future__ import annotations
 
 import enum
+import hashlib
+import pickle
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import ConfigError
-from ..isa import Kernel
+from ..isa import Imm, Kernel
 from .checkpointing import CheckpointResult, insert_checkpoints
 from .duplication import DuplicationResult, duplicate_instructions
 from .regalloc import AllocationResult, allocate_registers
@@ -117,6 +127,54 @@ class CompiledKernel:
         return self.regions.static_regions if self.regions else 1
 
 
+#: Most pass results the compile memo keeps: an allocation plus the
+#: three distinct region formations (renaming with and without region
+#: extension, checkpointing) of 32 kernels.
+COMPILE_MEMO_SIZE = 128
+
+#: LRU of pickled pass results: ``("alloc", digest)`` ->
+#: ``AllocationResult`` and ``("regions", digest, policy, extend,
+#: provenance, compact)`` -> ``RegionFormation``.  A pickle is a sixth
+#: of the live objects' size, and every hit unpickles objects of its
+#: own, so no caller shares a kernel, list, dict or instruction with
+#: the memo or with another caller.
+_COMPILE_MEMO: "OrderedDict[tuple, bytes]" = OrderedDict()
+
+
+def clear_compile_memo() -> None:
+    """Forget every memoized pass result (benchmarks time cold compiles)."""
+    _COMPILE_MEMO.clear()
+
+
+def _content_digest(kernel: Kernel) -> bytes:
+    """16-byte digest of a kernel's full content: every instruction field
+    (``comment`` too, which instruction equality ignores but ``to_asm``
+    prints), the labels in order, the parameter count and the shared
+    words.  An immediate's ``repr`` hides the value's type, so the type
+    goes in beside it."""
+    digest = hashlib.blake2b(digest_size=16)
+    digest.update(repr((kernel.name, kernel.num_params, kernel.shared_words,
+                        list(kernel.labels.items()))).encode())
+    for inst in kernel.instructions:
+        imm_types = [type(src.value).__name__ for src in inst.srcs
+                     if isinstance(src, Imm)]
+        digest.update(f"\n{inst!r}{imm_types}".encode())
+    return digest.digest()
+
+
+def _memoized(key: tuple, compute):
+    """``compute()``'s result for ``key``, from the memo when present."""
+    blob = _COMPILE_MEMO.get(key)
+    if blob is not None:
+        _COMPILE_MEMO.move_to_end(key)
+        return pickle.loads(blob)
+    result = compute()
+    _COMPILE_MEMO[key] = pickle.dumps(result, pickle.HIGHEST_PROTOCOL)
+    while len(_COMPILE_MEMO) > COMPILE_MEMO_SIZE:
+        _COMPILE_MEMO.popitem(last=False)
+    return result
+
+
 def compile_kernel(kernel: Kernel, scheme: Scheme | str, wcdl: int = 20,
                    use_provenance: bool = True,
                    compact: bool = True) -> CompiledKernel:
@@ -124,10 +182,14 @@ def compile_kernel(kernel: Kernel, scheme: Scheme | str, wcdl: int = 20,
 
     ``use_provenance``/``compact`` toggle the alias-analysis and
     rename-compaction design choices for ablation studies.
+    Allocation and region formation come from the compile memo when
+    the same kernel content was compiled before.
     """
     if isinstance(scheme, str):
         scheme = scheme_by_name(scheme)
-    allocation = allocate_registers(kernel)
+    digest = _content_digest(kernel)
+    allocation = _memoized(("alloc", digest),
+                           lambda: allocate_registers(kernel))
     work = allocation.kernel
     regions = None
     checkpoints = None
@@ -136,10 +198,13 @@ def compile_kernel(kernel: Kernel, scheme: Scheme | str, wcdl: int = 20,
     if scheme.forms_regions:
         policy = (RegWarPolicy.RENAME if scheme.recovery is Recovery.RENAMING
                   else RegWarPolicy.KEEP)
-        regions = form_regions(work, policy,
-                               extend_regions=scheme.extend_regions,
-                               use_provenance=use_provenance,
-                               compact=compact)
+        regions = _memoized(
+            ("regions", digest, policy, scheme.extend_regions,
+             use_provenance, compact),
+            lambda: form_regions(work, policy,
+                                 extend_regions=scheme.extend_regions,
+                                 use_provenance=use_provenance,
+                                 compact=compact))
         work = regions.kernel
         if scheme.recovery is Recovery.CHECKPOINTING:
             war_regs = {var for _, var in regions.residual_reg_wars}

@@ -27,7 +27,8 @@ def try_rename(kernel: Kernel, cfg: Cfg, def_index: int, var) -> Kernel | None:
         return None
     if inst.guard is not None:
         return None  # partial definition: old lanes still need `var`
-    rdefs = ReachingDefs(cfg)
+    # Both queries below concern `var` alone, so analyse only `var`.
+    rdefs = ReachingDefs(cfg, only=var)
     uses = [(u, v) for (u, v) in rdefs.uses_of_def(def_index) if v == var]
     for use_index, _ in uses:
         if rdefs.defs_reaching_use(use_index, var) != {def_index}:

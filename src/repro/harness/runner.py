@@ -7,6 +7,7 @@ figure harnesses can share baselines and re-render cheaply; pass
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import tempfile
@@ -176,6 +177,11 @@ class Runner:
         if cached is not None:
             return cached
         outcome = execute(spec)
+        # A run's simulator state (SMs, warps, exec-compiled plans) sits
+        # in reference cycles that only the cyclic collector frees; free
+        # it now, so back-to-back runs peak at one run's memory rather
+        # than whenever allocation churn next triggers the collector.
+        gc.collect()
         self._store(outcome)
         return outcome
 

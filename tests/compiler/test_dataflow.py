@@ -1,8 +1,14 @@
 """Liveness, reaching definitions, and provenance analyses."""
 
-from repro.compiler import Liveness, ParamOrigin, Provenance, ReachingDefs
+import pytest
+from hypothesis import HealthCheck, given, settings
+
+from repro.compiler import (Liveness, ParamOrigin, Provenance, ReachingDefs,
+                            allocate_registers)
 from repro.compiler.dataflow import BOTTOM
 from repro.isa import Cfg, Pred, Reg, parse_kernel
+from repro.workloads import workload_by_name
+from tests.integration.test_property_based import random_kernel
 
 LINEAR = """
 .kernel k
@@ -95,6 +101,50 @@ class TestReachingDefs:
         rdefs = ReachingDefs(Cfg(kernel))
         defs = rdefs.defs_reaching_use(3, Reg(0))
         assert defs == {0, 2}   # both the init and the partial def
+
+
+def assert_one_variable_analysis_exact(kernel):
+    """``ReachingDefs(cfg, only=var)`` answers every query about ``var``
+    exactly as the whole-kernel analysis does, for every variable."""
+    cfg = Cfg(kernel)
+    whole = ReachingDefs(cfg)
+    variables = set(whole.defs_of) | {var for _, var in whole.use_defs}
+    assert variables
+    for var in variables:
+        one = ReachingDefs(cfg, only=var)
+        uses = {key: defs for key, defs in whole.use_defs.items()
+                if key[1] == var}
+        assert one.use_defs == uses, var
+        for use_index, _ in uses:
+            assert one.defs_reaching_use(use_index, var) == \
+                whole.defs_reaching_use(use_index, var)
+        for def_index in [ReachingDefs.ENTRY] + whole.defs_of.get(var, []):
+            assert one.uses_of_def(def_index) == {
+                use for use in whole.uses_of_def(def_index)
+                if use[1] == var}, (var, def_index)
+
+
+class TestOneVariableReachingDefs:
+    @pytest.mark.parametrize("workload",
+                             ["SGEMM", "NN", "LBM", "Triad", "Histogram"])
+    def test_matches_whole_kernel_on_allocated_roster(self, workload):
+        kernel = workload_by_name(workload).instance("tiny").kernel
+        assert_one_variable_analysis_exact(allocate_registers(kernel).kernel)
+
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow,
+                                     HealthCheck.data_too_large])
+    @given(random_kernel())
+    def test_matches_whole_kernel_on_generated_kernels(self, kernel):
+        assert_one_variable_analysis_exact(kernel)
+        assert_one_variable_analysis_exact(allocate_registers(kernel).kernel)
+
+    def test_loop_merge_seen_by_one_variable(self):
+        kernel = parse_kernel(LOOP)
+        head = kernel.labels["HEAD"]
+        one = ReachingDefs(Cfg(kernel), only=Reg(0))
+        assert len(one.defs_reaching_use(head, Reg(0))) == 2
+        assert set(one.defs_of) == {Reg(0)}
 
 
 class TestProvenance:

@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.compiler import (SCHEMES, compile_kernel, prepare_launch,
-                            scan_kernel, scheme_by_name, Detection, Recovery)
+from repro.compiler import (SCHEMES, clear_compile_memo, compile_kernel,
+                            pipeline, prepare_launch, scan_kernel,
+                            scheme_by_name, Detection, Recovery)
 from repro.errors import ConfigError
-from repro.isa import Op
+from repro.isa import Imm, Instruction, Kernel, Op, Reg
 from repro.sim import LaunchConfig, run_kernel
+from repro.workloads import workload_by_name
 
 
 class TestSchemeRegistry:
@@ -160,3 +162,159 @@ class TestProcessIndependence:
             forms.append(json.loads(out))
         assert len(forms[0]) == 4
         assert forms[0] == forms[1]
+
+
+# ----------------------------------------------------------------------
+# The compile memo
+# ----------------------------------------------------------------------
+#: Small kernels covering barriers, guards, loops and atomics.
+MEMO_ROSTER = ("SGEMM", "NN", "LBM", "Triad", "Histogram")
+
+#: Every compile scheme, plus the two ablation variants that change the
+#: region-formation key.
+MEMO_VARIANTS = ([(name, {}) for name in sorted(SCHEMES)]
+                 + [("flame", {"use_provenance": False}),
+                    ("checkpointing", {"use_provenance": False}),
+                    ("flame", {"compact": False})])
+
+
+def _compiled_form(compiled) -> tuple:
+    """Everything a compile produces that a run or a figure reads."""
+    regions = compiled.regions
+    allocation = compiled.allocation
+    return (
+        compiled.kernel.to_asm(),
+        compiled.regs_per_thread,
+        allocation.kernel.to_asm(), allocation.num_regs,
+        allocation.num_preds, sorted(allocation.reg_map.items()),
+        sorted(allocation.pred_map.items()),
+        None if regions is None else (
+            regions.kernel.to_asm(), regions.boundaries, regions.war_cuts,
+            regions.renames, regions.rename_fallback_cuts,
+            regions.extended_barriers, list(regions.residual_reg_wars)),
+        None if compiled.checkpoints is None
+        else sorted(compiled.checkpoints.slot_of.items()),
+    )
+
+
+def _cold(kernel, scheme, **options):
+    clear_compile_memo()
+    return compile_kernel(kernel, scheme, **options)
+
+
+@pytest.fixture
+def memo():
+    """An empty compile memo, emptied again afterwards."""
+    clear_compile_memo()
+    yield pipeline._COMPILE_MEMO
+    clear_compile_memo()
+
+
+class TestCompileMemo:
+    @pytest.mark.parametrize("workload", MEMO_ROSTER)
+    def test_hit_equals_cold_compile(self, workload, memo):
+        kernel = workload_by_name(workload).instance("tiny").kernel
+        cold = {(scheme, tuple(options.items())):
+                _compiled_form(_cold(kernel, scheme, **options))
+                for scheme, options in MEMO_VARIANTS}
+        clear_compile_memo()
+        for _ in range(2):   # misses and hits, then hits only
+            for scheme, options in MEMO_VARIANTS:
+                warm = compile_kernel(kernel, scheme, **options)
+                assert _compiled_form(warm) == \
+                    cold[(scheme, tuple(options.items()))], (scheme, options)
+
+    def test_schemes_share_one_formation_per_recovery(self, loop_kernel,
+                                                      memo, monkeypatch):
+        calls = {"allocate_registers": 0, "form_regions": 0}
+
+        def counted(name):
+            original = getattr(pipeline, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(pipeline, name, counted(name))
+        for scheme in SCHEMES:
+            compile_kernel(loop_kernel, scheme)
+        # One allocation; one formation each for renaming, renaming with
+        # region extension (flame) and checkpointing.
+        assert calls == {"allocate_registers": 1, "form_regions": 3}
+
+    def test_returned_objects_are_private(self, loop_kernel, memo):
+        expected = {scheme: _compiled_form(_cold(loop_kernel, scheme))
+                    for scheme in ("flame", "checkpointing", "baseline")}
+        clear_compile_memo()
+        for _ in range(2):   # vandalize a miss's result, then a hit's
+            for scheme in expected:
+                compiled = compile_kernel(loop_kernel, scheme)
+                assert "_exec_plans" not in compiled.kernel.__dict__
+                kernels = [compiled.kernel, compiled.allocation.kernel]
+                if compiled.regions is not None:
+                    kernels.append(compiled.regions.kernel)
+                    compiled.regions.residual_reg_wars.append((0, Reg(0)))
+                for kernel in kernels:
+                    kernel.instructions.append(Instruction(op=Op.EXIT))
+                    label = next(iter(kernel.labels))
+                    kernel.labels[label] = 0
+                    kernel.__dict__["_exec_plans"] = {"planted": None}
+                compiled.allocation.reg_map.clear()
+        for scheme, form in expected.items():
+            compiled = compile_kernel(loop_kernel, scheme)
+            assert _compiled_form(compiled) == form, scheme
+            assert "_exec_plans" not in compiled.kernel.__dict__
+
+    @pytest.mark.parametrize("change", ["operand", "label", "guard_sense",
+                                        "comment"])
+    def test_near_identical_kernels_do_not_alias(self, loop_kernel, memo,
+                                                 change):
+        instructions = list(loop_kernel.instructions)
+        labels = dict(loop_kernel.labels)
+        guarded = next(i for i, inst in enumerate(instructions)
+                       if inst.guard is not None)
+        if change == "operand":
+            mad = next(i for i, inst in enumerate(instructions)
+                       if inst.op is Op.MAD)
+            instructions[mad] = instructions[mad].with_(
+                srcs=(Imm(3.0),) + instructions[mad].srcs[1:])
+        elif change == "label":
+            name, at = max(labels.items(), key=lambda item: item[1])
+            labels[name] = at - 1
+        elif change == "guard_sense":
+            instructions[guarded] = instructions[guarded].with_(
+                guard_sense=not instructions[guarded].guard_sense)
+        else:
+            instructions[guarded] = instructions[guarded].with_(
+                comment="changed")
+        variant = Kernel(name=loop_kernel.name, instructions=instructions,
+                         labels=labels, num_params=loop_kernel.num_params,
+                         shared_words=loop_kernel.shared_words)
+        for scheme in ("flame", "checkpointing", "baseline"):
+            original = _compiled_form(_cold(loop_kernel, scheme))
+            expected = _compiled_form(_cold(variant, scheme))
+            assert expected != original
+            clear_compile_memo()
+            compile_kernel(loop_kernel, scheme)
+            assert _compiled_form(compile_kernel(variant, scheme)) \
+                == expected, scheme
+            assert _compiled_form(compile_kernel(loop_kernel, scheme)) \
+                == original, scheme
+
+    def test_lru_bound(self, memo, monkeypatch):
+        monkeypatch.setattr(pipeline, "COMPILE_MEMO_SIZE", 3)
+        kernels = [workload_by_name(name).instance("tiny").kernel
+                   for name in MEMO_ROSTER]
+        for kernel in kernels[:3]:
+            compile_kernel(kernel, "baseline")   # one allocation each
+        assert len(memo) == 3
+        compile_kernel(kernels[0], "baseline")   # hit: most recent now
+        compile_kernel(kernels[3], "baseline")   # evicts kernels[1]
+        assert len(memo) == 3
+        digests = {key[1] for key in memo}
+        assert pipeline._content_digest(kernels[0]) in digests
+        assert pipeline._content_digest(kernels[1]) not in digests
+        compile_kernel(kernels[4], "flame")      # allocation + formation
+        assert len(memo) == 3

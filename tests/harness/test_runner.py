@@ -1,7 +1,11 @@
 """Experiment runner: execution, caching, and normalization."""
 
+import gc
+import weakref
+
 import pytest
 
+import repro.harness.runner as runner_module
 from repro.errors import ConfigError
 from repro.harness import RunOutcome, Runner, RunSpec, execute, normalized_time
 
@@ -64,6 +68,31 @@ class TestCaching:
         outcomes = runner.run_many([spec, spec, spec])
         assert len(outcomes) == 3
         assert all(o.cycles == outcomes[0].cycles for o in outcomes)
+
+
+class TestRunMemory:
+    def test_run_frees_its_simulator_state(self, runner, monkeypatch):
+        """The compiled kernel and its exec plans sit in reference cycles
+        with the simulator; the runner frees them before it returns
+        rather than at the collector's next automatic pass."""
+        kernels = []
+        compile_kernel = runner_module.compile_kernel
+
+        def tracked(*args, **kwargs):
+            compiled = compile_kernel(*args, **kwargs)
+            kernels.append(weakref.ref(compiled.kernel))
+            return compiled
+
+        monkeypatch.setattr(runner_module, "compile_kernel", tracked)
+        gc.collect()
+        gc.disable()
+        try:
+            runner.run(RunSpec(workload="Triad", scheme="flame",
+                               scale="tiny"))
+        finally:
+            gc.enable()
+        assert len(kernels) == 1
+        assert kernels[0]() is None
 
 
 class TestCrashSafety:
