@@ -177,7 +177,7 @@ class Runner:
         if cached is not None:
             return cached
         outcome = execute(spec)
-        # A run's simulator state (SMs, warps, exec-compiled plans) sits
+        # A run's simulator state (SMs, warps, execution plans) sits
         # in reference cycles that only the cyclic collector frees; free
         # it now, so back-to-back runs peak at one run's memory rather
         # than whenever allocation churn next triggers the collector.

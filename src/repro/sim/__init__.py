@@ -10,7 +10,7 @@ Public surface:
 * :class:`ExecPlan`, :func:`get_plan` — decode-once dispatch plans
 """
 
-from .caches import BatchCache, Cache, make_cache
+from .caches import Cache
 from .functional import LaneContext, MemAccess, execute, guard_mask
 from .gpu import (Gpu, LaunchConfig, MAX_CYCLES, RunResult, occupancy_blocks,
                   run_kernel)
@@ -29,8 +29,7 @@ from .warp import StackEntry, Warp, WarpSnapshot, WarpState
 
 __all__ = [
     "CONTROL_TID",
-    "BatchCache", "Cache", "CheckpointRecorder", "ConvergenceMonitor",
-    "ExecPlan", "Gpu", "make_cache",
+    "Cache", "CheckpointRecorder", "ConvergenceMonitor", "ExecPlan", "Gpu",
     "GpuCheckpoint", "GtoScheduler", "LaneContext", "LaunchConfig",
     "LrrScheduler", "MAX_CYCLES", "MemAccess", "MemoryLiveness", "NEVER",
     "NULL_RESILIENCE",

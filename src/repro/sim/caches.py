@@ -4,35 +4,21 @@ Timing-only: data lives in the functional memory arrays; the caches just
 decide hit/miss for latency.  L1 is per-SM (write-through, no
 write-allocate, as on Fermi for global stores); L2 is shared.
 
-Two interchangeable implementations share one external contract
-(including the :meth:`capture_state` tuple format, so checkpoints taken
-under one implementation restore under the other):
-
-* :class:`Cache` — the scalar reference model.  One Python dict per set,
-  insertion order = LRU order (oldest first), so a hit is a move-to-back
-  (two O(1) dict ops) instead of the old O(assoc) ``list.remove``.
-* :class:`BatchCache` — the NumPy-backed model.  Per-set tag rows in one
-  ``(num_sets, assoc)`` array, right-aligned with the MRU tag in the
-  last column, answering whole segment vectors (and stacked
-  warp×segment matrices) in one call with bit-exact hit/miss decisions
-  and replacement order versus the scalar model.
-
-``make_cache`` picks the implementation: :class:`BatchCache` by
-default, the scalar oracle when ``REPRO_SCALAR_CACHE=1`` is set (the
-equivalence and property suites drive both and diff their states).
+One model serves every path: :class:`Cache` keeps one Python dict per
+set whose insertion order is the LRU order (oldest first), so a hit is a
+move-to-back (two O(1) dict ops).  The SM asks it about one line at a
+time, and checkpoints record, restore and compare its state through
+:meth:`Cache.capture_state`, :meth:`Cache.restore_state` and
+:meth:`Cache.state_equals`.
 """
 
 from __future__ import annotations
-
-import os
-
-import numpy as np
 
 from ..arch import CacheConfig
 
 
 class Cache:
-    """A set-associative LRU cache over word addresses (scalar oracle)."""
+    """A set-associative LRU cache over word addresses."""
 
     def __init__(self, config: CacheConfig, name: str = "cache") -> None:
         self.config = config
@@ -63,50 +49,6 @@ class Cache:
                 del ways[next(iter(ways))]   # evict LRU (oldest entry)
             ways[line] = None
         return False
-
-    def access_lines(self, lines: np.ndarray,
-                     is_store: bool = False) -> np.ndarray:
-        """Access a vector of *line numbers* (already divided by
-        ``line_words``) in order; returns a boolean hit vector.  The
-        scalar model serves as the sequential-semantics oracle for
-        :meth:`BatchCache.access_lines`."""
-        num_sets = self.config.num_sets
-        assoc = self.config.assoc
-        sets = self._sets
-        out = np.empty(len(lines), dtype=bool)
-        hits = 0
-        for i, line in enumerate(lines):
-            line = int(line)
-            ways = sets[line % num_sets]
-            if line in ways:
-                hits += 1
-                del ways[line]
-                ways[line] = None
-                out[i] = True
-                continue
-            self.misses += 1
-            if not is_store:
-                if len(ways) >= assoc:
-                    del ways[next(iter(ways))]
-                ways[line] = None
-            out[i] = False
-        self.hits += hits
-        return out
-
-    def access_matrix(self, lines: np.ndarray,
-                      is_store: bool = False) -> np.ndarray:
-        """Row-major access over a stacked (e.g. warp × segment) matrix
-        of line numbers; negative entries are padding and never touch
-        the cache.  Returns a boolean matrix (padding rows False)."""
-        out = np.zeros(lines.shape, dtype=bool)
-        for r in range(lines.shape[0]):
-            row = lines[r]
-            valid = row >= 0
-            if valid.all():
-                out[r] = self.access_lines(row, is_store)
-            elif valid.any():
-                out[r, valid] = self.access_lines(row[valid], is_store)
-        return out
 
     def invalidate(self) -> None:
         for ways in self._sets:
@@ -151,171 +93,3 @@ class Cache:
         """Plain-data counter snapshot for telemetry/trace exporters."""
         return {"hits": self.hits, "misses": self.misses,
                 "miss_rate": self.miss_rate}
-
-
-class BatchCache:
-    """NumPy-backed set-associative LRU cache, bit-exact vs :class:`Cache`.
-
-    Tag storage is one ``(num_sets, assoc)`` int64 array per cache.
-    Each row is a set, right-aligned: empty ways are ``-1`` on the left,
-    the LRU valid tag is the leftmost valid entry, the MRU tag is in the
-    last column.  A hit removes the tag from its position and re-appends
-    it on the right; a load miss shifts the whole row left (dropping the
-    leftmost slot — the LRU tag when full, a ``-1`` pad otherwise) and
-    appends on the right; a store miss leaves the row untouched.  These
-    are exactly the scalar model's dict operations, so replacement
-    decisions — and therefore every downstream latency — are identical.
-
-    ``access_lines`` answers a whole segment vector in one call.  When
-    the lines map to pairwise-distinct sets (the common case for
-    coalesced accesses: consecutive lines hit consecutive sets) the
-    probe *and* the per-row reorder are single vectorized expressions;
-    colliding sets fall back to in-order scalar row updates, preserving
-    sequential semantics.
-    """
-
-    def __init__(self, config: CacheConfig, name: str = "cache") -> None:
-        self.config = config
-        self.name = name
-        self._tags = np.full((config.num_sets, config.assoc), -1,
-                             dtype=np.int64)
-        self.hits = 0
-        self.misses = 0
-
-    # ------------------------------------------------------------------
-    # Scalar access (drop-in for Cache.access)
-    # ------------------------------------------------------------------
-    def access(self, word_addr: int, is_store: bool = False) -> bool:
-        line = word_addr // self.config.line_words
-        return self._access_line(line, is_store)
-
-    def _access_line(self, line: int, is_store: bool) -> bool:
-        row = self._tags[line % self.config.num_sets]
-        pos = np.nonzero(row == line)[0]
-        if pos.size:
-            self.hits += 1
-            p = int(pos[0])
-            row[p:-1] = row[p + 1:]
-            row[-1] = line
-            return True
-        self.misses += 1
-        if not is_store:
-            row[:-1] = row[1:]
-            row[-1] = line
-        return False
-
-    # ------------------------------------------------------------------
-    # Vector access
-    # ------------------------------------------------------------------
-    def access_lines(self, lines: np.ndarray,
-                     is_store: bool = False) -> np.ndarray:
-        """Access a vector of line numbers in order; returns the hit
-        vector.  Bit-exact with applying :meth:`Cache.access` to each
-        line sequentially."""
-        n = len(lines)
-        if n == 1:
-            return np.array([self._access_line(int(lines[0]), is_store)])
-        lines = np.asarray(lines, dtype=np.int64)
-        num_sets = self.config.num_sets
-        sets = lines % num_sets
-        if len(np.unique(sets)) != n:
-            # Same-set collisions: later accesses observe earlier
-            # updates, so replay in order.
-            out = np.empty(n, dtype=bool)
-            for i in range(n):
-                out[i] = self._access_line(int(lines[i]), is_store)
-            return out
-        tags = self._tags
-        rows = tags[sets]                       # (n, assoc) copy
-        eq = rows == lines[:, None]
-        hit = eq.any(axis=1)
-        self.hits += int(hit.sum())
-        self.misses += n - int(hit.sum())
-        # Position to vacate: the hit position, else slot 0 (the LRU tag
-        # when the set is full, a -1 pad otherwise — either way the slot
-        # a load miss shifts out).
-        p = np.where(hit, eq.argmax(axis=1), 0)
-        assoc = self.config.assoc
-        k = np.arange(assoc - 1, dtype=np.int64)[None, :]
-        gather = k + (k >= p[:, None])
-        shifted = np.take_along_axis(rows, gather, axis=1)
-        new_rows = np.empty_like(rows)
-        new_rows[:, :-1] = shifted
-        new_rows[:, -1] = lines
-        if is_store:
-            update = hit                        # store misses: no change
-        else:
-            update = None
-        if update is None:
-            tags[sets] = new_rows
-        else:
-            tags[sets] = np.where(update[:, None], new_rows, rows)
-        return hit
-
-    def access_matrix(self, lines: np.ndarray,
-                      is_store: bool = False) -> np.ndarray:
-        """Row-major access over a stacked (warp × segment) matrix of
-        line numbers; negative entries are padding.  Row order is the
-        access order, matching a per-warp sequential replay."""
-        out = np.zeros(lines.shape, dtype=bool)
-        for r in range(lines.shape[0]):
-            row = lines[r]
-            valid = row >= 0
-            if valid.all():
-                out[r] = self.access_lines(row, is_store)
-            elif valid.any():
-                out[r, valid] = self.access_lines(row[valid], is_store)
-        return out
-
-    def invalidate(self) -> None:
-        self._tags[:] = -1
-
-    # ------------------------------------------------------------------
-    # Checkpoint support (format shared with Cache)
-    # ------------------------------------------------------------------
-    def capture_state(self) -> tuple:
-        sets = tuple(tuple(int(t) for t in row[row >= 0])
-                     for row in self._tags)
-        return (sets, self.hits, self.misses)
-
-    def restore_state(self, state: tuple) -> None:
-        sets, hits, misses = state
-        self._tags = np.full((self.config.num_sets, self.config.assoc),
-                             -1, dtype=np.int64)
-        for row, ways in zip(self._tags, sets):
-            if ways:
-                row[-len(ways):] = ways
-        self.hits = hits
-        self.misses = misses
-
-    def state_equals(self, state: tuple) -> bool:
-        sets, hits, misses = state
-        if self.hits != hits or self.misses != misses:
-            return False
-        if len(self._tags) != len(sets):
-            return False
-        for row, ref in zip(self._tags, sets):
-            valid = row[row >= 0]
-            if len(valid) != len(ref) or not (valid == ref).all():
-                return False
-        return True
-
-    @property
-    def accesses(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def miss_rate(self) -> float:
-        return self.misses / self.accesses if self.accesses else 0.0
-
-    def counters(self) -> dict:
-        return {"hits": self.hits, "misses": self.misses,
-                "miss_rate": self.miss_rate}
-
-
-def make_cache(config: CacheConfig, name: str = "cache"):
-    """The live cache model: :class:`BatchCache` unless the
-    ``REPRO_SCALAR_CACHE=1`` oracle flag asks for the scalar model."""
-    if os.environ.get("REPRO_SCALAR_CACHE") == "1":
-        return Cache(config, name)
-    return BatchCache(config, name)

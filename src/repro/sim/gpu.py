@@ -10,7 +10,7 @@ from ..arch import GpuConfig, GTX480
 from ..errors import LaunchError, SimError, SimTimeout
 from ..isa import Cfg, Kernel, Special
 from ..isa.cfg import reconvergence_table_for
-from .caches import make_cache
+from .caches import Cache
 from .plan import get_plan
 from .sm import NEVER, ResilienceRuntime, NULL_RESILIENCE, Sm, ThreadBlock
 from .stats import SimStats
@@ -101,7 +101,7 @@ class Gpu:
         #: ``fast=False`` selects the reference interpreter; both paths
         #: produce byte-identical cycles, stats, and memory.
         self.fast = fast
-        self.l2 = make_cache(config.l2, name="l2")
+        self.l2 = Cache(config.l2, name="l2")
         self.sms = [Sm(i, config, self.l2, resilience)
                     for i in range(config.sim_sms)]
         self.fault_injector = None  # set by repro.core.injection

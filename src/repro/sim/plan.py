@@ -777,7 +777,7 @@ class ExecPlan:
 
     __slots__ = ("kernel", "config", "records", "rb_flags", "num_insts",
                  "instructions", "inst_ids", "labels_key", "sb_len",
-                 "_sb_info", "_mem_strides", "gen_source")
+                 "_sb_info", "_mem_strides")
 
     def __init__(self, kernel: Kernel, config: GpuConfig,
                  reconv: dict[int, int]) -> None:
@@ -799,13 +799,6 @@ class ExecPlan:
         self._sb_info: dict = {}
         #: Memory signatures per launch geometry: {block_x: {pc: stride}}.
         self._mem_strides: dict = {}
-        # Exec-compiled per-record functions replace the closure-chain
-        # ``run``s (repro.sim.codegen); generated code shares the plan's
-        # cache entry, so instruction mutation or a config change
-        # rebuilds it along with the plan.
-        from .codegen import specialize_plan
-
-        specialize_plan(self)
 
     def superblock_info(self, pc: int):
         """Lazily-built :class:`~repro.sim.superblock.SuperblockInfo`

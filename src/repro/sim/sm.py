@@ -18,7 +18,7 @@ import numpy as np
 from ..arch import GpuConfig
 from ..errors import SimError
 from ..isa import FuClass, Instruction, Kernel, Op, Pred, Reg, Space
-from .caches import make_cache
+from .caches import Cache
 from .functional import MemAccess, execute, guard_mask
 from .plan import ExecPlan, K_BAR, K_BRA, K_EXIT, K_VALUE, T_ATOMIC, T_SHARED
 from .schedulers import WarpScheduler, make_scheduler
@@ -135,7 +135,7 @@ class Sm:
                  resilience: ResilienceRuntime = NULL_RESILIENCE) -> None:
         self.id = sm_id
         self.config = config
-        self.l1 = make_cache(config.l1, name=f"sm{sm_id}.l1")
+        self.l1 = Cache(config.l1, name=f"sm{sm_id}.l1")
         self.l2 = l2
         self.schedulers: list[WarpScheduler] = []
         self.scheduler_name = "GTO"

@@ -7,6 +7,7 @@ an uninterrupted run.
 
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +17,12 @@ from repro.harness.campaign import (CampaignRunner, default_journal_path,
                                     run_campaign)
 from repro.obs import MetricsRegistry
 from tests.conftest import assert_record_matches_registry
+
+
+#: Journal of the checkpointed campaign ``--benchmarks SGEMM,Triad,LBM,NN
+#: --schemes baseline,flame --trials 6 --seed 5 --workers 1`` at tiny scale.
+JOURNAL_PIN = (Path(__file__).resolve().parents[1] / "expected"
+               / "ckpt_pin.jsonl")
 
 
 def small_spec(trials=4, **kwargs):
@@ -92,6 +99,22 @@ class TestCampaignRun:
         a = default_journal_path(small_spec())
         assert a.startswith(str(tmp_path))
         assert a != default_journal_path(small_spec(trials=9))
+
+
+class TestJournalPin:
+    """Rows carry cycles, golden cycles, strike cycles, outcomes and
+    recoveries, so a change to the simulator, the compiler or the
+    checkpoint layer that moves simulated timing or a verdict shows up
+    as a byte difference against the committed journal."""
+
+    def test_checkpointed_campaign_matches_committed_journal(self,
+                                                             tmp_path):
+        spec = CampaignSpec(workloads=("SGEMM", "Triad", "LBM", "NN"),
+                            schemes=("baseline", "flame"), trials=6,
+                            seed=5, scale="tiny")
+        path = tmp_path / "pin.jsonl"
+        run_campaign(spec, workers=1, journal_path=str(path))
+        assert path.read_bytes() == JOURNAL_PIN.read_bytes()
 
 
 class TestHardening:

@@ -230,18 +230,6 @@ class TestMemoryWindows:
         assert_paths_identical(instance, scheme, scheduler,
                                injector=self._injector((first + last) // 2))
 
-    def test_scalar_cache_oracle_identical(self, monkeypatch):
-        """Cache state driven by scripted windows vs the per-access
-        scalar oracle: REPRO_SCALAR_CACHE=1 swaps the NumPy-backed
-        batch cache for the dict-LRU reference, and the whole run —
-        hits, misses, cycles, memory — must not move."""
-        instance = workload_by_name("LBM").instance("tiny")
-        monkeypatch.delenv("REPRO_SCALAR_CACHE", raising=False)
-        batched = run_scheme(instance, "baseline", "GTO", fast=True)
-        monkeypatch.setenv("REPRO_SCALAR_CACHE", "1")
-        scalar = run_scheme(instance, "baseline", "GTO", fast=True)
-        assert batched == scalar
-
 
 class TestMidSuperblockStrikes:
     """Strikes aimed at the exact cycles a fault-free fast run covers
