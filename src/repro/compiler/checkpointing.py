@@ -87,10 +87,11 @@ def insert_checkpoints(kernel: Kernel, war_regs: set | None = None,
     liveness = Liveness(cfg)
     rb_indices = [i for i, inst in enumerate(kernel.instructions)
                   if inst.op is Op.RB]
+    live_at = liveness.live_before_each(rb_indices)
     plan: dict[int, list[Reg]] = {}
     all_regs: set[Reg] = set()
     for rb in rb_indices:
-        live = {v for v in liveness.live_before(rb) if isinstance(v, Reg)}
+        live = {v for v in live_at[rb] if isinstance(v, Reg)}
         defs = _region_defs_before(kernel, cfg, rb)
         save = live & defs
         if prune and war_regs is not None:
@@ -105,9 +106,10 @@ def insert_checkpoints(kernel: Kernel, war_regs: set | None = None,
     result.slot_of = slot_of
     result.num_slots = len(slot_of)
 
-    base = Reg(kernel.num_regs)       # per-thread checkpoint base address
-    t = Reg(kernel.num_regs + 1)      # prologue scratch
-    u = Reg(kernel.num_regs + 2)      # prologue scratch
+    regs = kernel.num_regs
+    base = Reg(regs)                  # per-thread checkpoint base address
+    t = Reg(regs + 1)                 # prologue scratch
+    u = Reg(regs + 2)                 # prologue scratch
     warp_size = 32
 
     def alu(op: Op, dst: Reg, *srcs) -> Instruction:

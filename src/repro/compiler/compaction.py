@@ -11,10 +11,11 @@ This pass merges fresh registers greedily: a merge is accepted iff the
 two registers never simultaneously live (value correctness) *and* a
 re-scan of the merged kernel reports no anti-dependence violations
 (idempotence correctness).  Scan-validated merging is obviously sound,
-unlike purely structural rules, but it is not cheap: every candidate
-merge re-scans the whole kernel.  Forming SN's Flame regions (tiny)
-re-scans 139 times, about 0.9 s of its 3.2 s, and LUD's 300 times,
-about 3.8 s of 8.5 s (one core of a 2-CPU Xeon container).
+unlike purely structural rules.  It stays cheap because a candidate
+rewrites only the instructions that mention the merged register, and
+the re-scan shares region formation's segment table: only the segments
+holding those instructions are scanned again, with the formation's
+provenance setting.
 """
 
 from __future__ import annotations
@@ -22,42 +23,45 @@ from __future__ import annotations
 import networkx as nx
 
 from ..isa import Cfg, Instruction, Kernel, Reg
-from .antidep import scan_kernel
-from .dataflow import Liveness
+from .antidep import SegmentTable
+from .dataflow import Liveness, VarIndex
 
 
-def _rewrite(kernel: Kernel, mapping: dict[Reg, Reg]) -> Kernel:
+def _swap(inst: Instruction, mapping: dict[Reg, Reg]) -> Instruction:
     def swap(operand):
         return mapping.get(operand, operand) if isinstance(operand, Reg) \
             else operand
 
-    new_instructions = []
-    for inst in kernel.instructions:
-        changes = {}
-        if isinstance(inst.dst, Reg) and inst.dst in mapping:
-            changes["dst"] = mapping[inst.dst]
-        if any(isinstance(s, Reg) and s in mapping for s in inst.srcs):
-            changes["srcs"] = tuple(swap(s) for s in inst.srcs)
-        new_instructions.append(inst.with_(**changes) if changes else inst)
+    changes = {}
+    if isinstance(inst.dst, Reg) and inst.dst in mapping:
+        changes["dst"] = mapping[inst.dst]
+    if any(isinstance(s, Reg) and s in mapping for s in inst.srcs):
+        changes["srcs"] = tuple(swap(s) for s in inst.srcs)
+    return inst.with_(**changes) if changes else inst
+
+
+def _with_instructions(kernel: Kernel, instructions: list) -> Kernel:
     return Kernel(
         name=kernel.name,
-        instructions=new_instructions,
+        instructions=instructions,
         labels=dict(kernel.labels),
         num_params=kernel.num_params,
         shared_words=kernel.shared_words,
     )
 
 
-def compact_fresh_registers(kernel: Kernel, first_fresh: int) -> Kernel:
+def compact_fresh_registers(kernel: Kernel, first_fresh: int,
+                            table: SegmentTable | None = None) -> Kernel:
     """Merge registers with indices >= ``first_fresh`` where sound.
 
     Returns a kernel whose fresh registers are renumbered compactly
-    (``first_fresh``, ``first_fresh + 1``, ...) after merging.
+    (``first_fresh``, ``first_fresh + 1``, ...) after merging.  Merges
+    are validated with ``table``, the segment table of the formation
+    that produced ``kernel`` (a fresh one, with provenance, when None).
     """
-    fresh = sorted({r.index for inst in kernel.instructions
-                    for r in list(inst.read_regs())
-                    + ([inst.dst] if isinstance(inst.dst, Reg) else [])
-                    if r.index >= first_fresh})
+    names = VarIndex(kernel)
+    fresh = sorted(reg.index for reg in names.registers()
+                   if reg.index >= first_fresh)
     if len(fresh) <= 1:
         return kernel
 
@@ -84,9 +88,10 @@ def compact_fresh_registers(kernel: Kernel, first_fresh: int) -> Kernel:
                     live.add(reg)
 
     # Greedy merge, validated by re-scanning for WAR violations.
-    baseline = scan_kernel(kernel)
-    if not baseline.clean:
+    table = table or SegmentTable(kernel, cfg)
+    if not table.scan(kernel, cfg).clean:
         return kernel  # only compact fully converged kernels
+    table.retain()
     work = kernel
     groups: dict[Reg, set[Reg]] = {}
     for index in fresh:
@@ -95,12 +100,23 @@ def compact_fresh_registers(kernel: Kernel, first_fresh: int) -> Kernel:
         for rep, members in groups.items():
             if any(interference.has_edge(reg, m) for m in members):
                 continue
-            candidate = _rewrite(work, {reg: rep})
-            if scan_kernel(candidate).clean:
+            instructions = list(work.instructions)
+            edits = []
+            for i in names.positions(reg):
+                old = instructions[i]
+                instructions[i] = _swap(old, {reg: rep})
+                table.carry(old, instructions[i])
+                edits.append((i, old, instructions[i]))
+            candidate = _with_instructions(work, instructions)
+            if table.scan(candidate, cfg).clean:
+                table.retain()
+                for i, old, new in edits:
+                    names.replace(i, old, new)
                 work = candidate
                 members.add(reg)
                 merged = True
                 break
+            table.forget()
         if not merged:
             groups[reg] = {reg}
 
@@ -108,6 +124,7 @@ def compact_fresh_registers(kernel: Kernel, first_fresh: int) -> Kernel:
     reps = sorted({rep.index for rep in groups})
     renumber = {Reg(old): Reg(first_fresh + new)
                 for new, old in enumerate(reps)}
-    work = _rewrite(work, renumber)
+    work = _with_instructions(work, [_swap(inst, renumber)
+                                     for inst in work.instructions])
     work.validate()
     return work

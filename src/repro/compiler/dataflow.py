@@ -4,6 +4,8 @@
   predicates (for checkpointing and register allocation).
 * :class:`ReachingDefs` — forward reaching-definition analysis with
   def-use chains (for anti-dependent register renaming).
+* :class:`VarIndex` — which instructions mention each register, so
+  that a one-variable question visits only those.
 * :class:`Provenance` — forward pointer-provenance analysis mapping each
   register to the kernel parameter its value (if an address) derives
   from.  Distinct pointer parameters are assumed to reference disjoint
@@ -85,16 +87,30 @@ class Liveness:
 
     def live_before(self, inst_index: int) -> set[Var]:
         """Variables live immediately before the given instruction."""
-        block = self.cfg.block_at(inst_index)
-        live = set(self.live_out[block.index])
-        kernel = self.cfg.kernel
-        for i in range(block.end - 1, inst_index - 1, -1):
-            inst = kernel.instructions[i]
-            dst, uses = _defs_uses(inst)
-            if dst is not None and _kills(inst):
-                live.discard(dst)
-            live.update(uses)
-        return live
+        return self.live_before_each([inst_index])[inst_index]
+
+    def live_before_each(self, indices) -> dict[int, set[Var]]:
+        """:meth:`live_before` of every index in ``indices``, with one
+        backward walk per block that holds any of them."""
+        wanted = set(indices)
+        cfg = self.cfg
+        kernel = cfg.kernel
+        lowest: dict[int, int] = {}
+        for i in wanted:
+            b = cfg.block_of[i]
+            lowest[b] = min(i, lowest.get(b, i))
+        answers: dict[int, set[Var]] = {}
+        for b, low in lowest.items():
+            live = set(self.live_out[b])
+            for i in range(cfg.blocks[b].end - 1, low - 1, -1):
+                inst = kernel.instructions[i]
+                dst, uses = _defs_uses(inst)
+                if dst is not None and _kills(inst):
+                    live.discard(dst)
+                live.update(uses)
+                if i in wanted:
+                    answers[i] = set(live)
+        return answers
 
     def live_after(self, inst_index: int) -> set[Var]:
         """Variables live immediately after the given instruction."""
@@ -110,6 +126,66 @@ class Liveness:
         return live
 
 
+def _mentions(inst: Instruction) -> set:
+    """Every register and predicate ``inst`` reads or writes."""
+    found = {src for src in inst.srcs if isinstance(src, (Reg, Pred))}
+    if inst.dst is not None:
+        found.add(inst.dst)
+    if inst.guard is not None:
+        found.add(inst.guard)
+    return found
+
+
+class VarIndex:
+    """Which instructions mention each register and predicate, and a
+    fresh register and predicate above every one the index has seen
+    (``Kernel.num_regs`` and ``num_preds`` while none disappears, as
+    under renaming).
+
+    Renaming asks both every round; the index answers without a pass
+    over the kernel.  It follows in-place replacements
+    (:meth:`replace`); an insertion shifts indices, so build a new
+    index after one.
+    """
+
+    def __init__(self, kernel: Kernel) -> None:
+        self._at: dict[Var, set[int]] = {}
+        self.num_regs = 0
+        self.num_preds = 0
+        for i, inst in enumerate(kernel.instructions):
+            self._add(i, _mentions(inst))
+
+    def _add(self, index: int, variables: set) -> None:
+        for var in variables:
+            self._at.setdefault(var, set()).add(index)
+            if isinstance(var, Reg):
+                self.num_regs = max(self.num_regs, var.index + 1)
+            else:
+                self.num_preds = max(self.num_preds, var.index + 1)
+
+    def positions(self, var: Var) -> list[int]:
+        """Ascending indices of the instructions that mention ``var``."""
+        return sorted(self._at.get(var, ()))
+
+    def registers(self) -> list[Reg]:
+        """The general registers some instruction mentions."""
+        return [var for var, at in self._at.items()
+                if at and isinstance(var, Reg)]
+
+    def fresh(self, like: Var) -> Var:
+        """An unused register, or predicate when ``like`` is one."""
+        return (Reg(self.num_regs) if isinstance(like, Reg)
+                else Pred(self.num_preds))
+
+    def replace(self, index: int, old: Instruction,
+                new: Instruction) -> None:
+        """``new`` took ``old``'s place at ``index``."""
+        now = _mentions(new)
+        for var in _mentions(old) - now:
+            self._at[var].discard(index)
+        self._add(index, now)
+
+
 class ReachingDefs:
     """Reaching definitions with def->use and use->def chains.
 
@@ -117,7 +193,7 @@ class ReachingDefs:
     virtual entry definition of a variable (parameters / initial zero
     state) is represented as -1.
 
-    ``only`` restricts the analysis to one variable: every query about
+    :meth:`at` restricts the analysis to one variable: every query about
     that variable answers exactly as the whole-kernel analysis would
     (variables never interact in this problem), and every other
     variable is left out.
@@ -125,29 +201,39 @@ class ReachingDefs:
 
     ENTRY = -1
 
-    def __init__(self, cfg: Cfg, only: Var | None = None) -> None:
+    def __init__(self, cfg: Cfg) -> None:
+        self._build(cfg, None, range(len(cfg.kernel.instructions)))
+
+    @classmethod
+    def at(cls, cfg: Cfg, var: Var, positions) -> "ReachingDefs":
+        """The analysis of ``var`` alone, given the ascending indices of
+        the instructions that mention it (:meth:`VarIndex.positions`):
+        it never looks at any other instruction."""
+        rdefs = cls.__new__(cls)
+        rdefs._build(cfg, var, positions)
+        return rdefs
+
+    def _build(self, cfg: Cfg, only: Var | None, positions) -> None:
         self.cfg = cfg
-        kernel = cfg.kernel
+        instructions = cfg.kernel.instructions
         self.defs_of: dict[Var, list[int]] = {}
         # Per block, the instructions that touch a tracked variable, as
         # (index, tracked uses, tracked def or None, def kills).
-        self._events: list[list[tuple[int, list[Var], Var | None, bool]]] = []
-        for block in cfg.blocks:
-            events = []
-            for i in range(block.start, block.end):
-                inst = kernel.instructions[i]
-                if only is not None and not (
-                        inst.dst == only or inst.guard == only
-                        or only in inst.srcs):
-                    continue
+        self._events: list[list[tuple[int, list[Var], Var | None, bool]]] = [
+            [] for _ in cfg.blocks]
+        block_of = cfg.block_of
+        for i in positions:
+            inst = instructions[i]
+            if only is None:
                 dst, uses = _defs_uses(inst)
-                if only is not None:
-                    uses = [var for var in uses if var == only]
-                    dst = dst if dst == only else None
-                if dst is not None:
-                    self.defs_of.setdefault(dst, []).append(i)
-                events.append((i, uses, dst, _kills(inst)))
-            self._events.append(events)
+            else:
+                dst = only if inst.dst == only else None
+                reads = (only in inst.srcs or inst.guard == only
+                         or (dst is not None and inst.guard is not None))
+                uses = [only] if reads else []
+            if dst is not None:
+                self.defs_of.setdefault(dst, []).append(i)
+            self._events[block_of[i]].append((i, uses, dst, _kills(inst)))
         self.in_sets: list[dict[Var, set[int]]] = []
         self.use_defs: dict[tuple[int, Var], set[int]] = {}
         self.def_uses: dict[int, set[tuple[int, Var]]] = {}

@@ -21,10 +21,12 @@ import enum
 from dataclasses import dataclass, field
 
 from ..errors import CompileError
-from ..isa import Cfg, Instruction, Kernel, Op, Space
-from .antidep import scan_kernel, structural_boundaries
+from ..isa import Cfg, Instruction, Kernel, Op, Pred, Reg, Space
+from .antidep import SegmentTable, structural_boundaries
+from .compaction import compact_fresh_registers
+from .dataflow import VarIndex
 from .editing import insert_instructions, remove_instructions
-from .renaming import try_rename
+from .renaming import rename_edits
 
 _RB = Instruction(op=Op.RB)
 
@@ -136,30 +138,44 @@ def form_regions(kernel: Kernel, policy: RegWarPolicy = RegWarPolicy.RENAME,
     seed |= sync
     work = insert_instructions(work, {i: [_RB] for i in sorted(seed)})
 
+    # Each round scans only the segments the last edit touched.  A
+    # rename rewrites instructions in place (the blocks stay as they
+    # are); an insertion shifts indices, so the CFG and the occurrence
+    # index are rebuilt after one.
+    cfg = Cfg(work)
+    table = SegmentTable(work, cfg, use_provenance=use_provenance)
+    names: VarIndex | None = None
     for _ in range(MAX_ROUNDS):
-        cfg = Cfg(work)
-        scan = scan_kernel(work, cfg, use_provenance=use_provenance)
+        scan = table.scan(work, cfg)
+        table.retain()
         if scan.mem_cuts:
             cuts = {i: [_RB] for i in sorted(set(scan.mem_cuts))}
             work = insert_instructions(work, cuts)
+            cfg, names = Cfg(work), None
             result.war_cuts += len(cuts)
             continue
         if scan.reg_wars and policy is RegWarPolicy.RENAME:
             index, var = scan.reg_wars[0]
-            renamed = try_rename(work, cfg, index, var)
-            if renamed is not None:
-                work = renamed
+            names = names or VarIndex(work)
+            edits = rename_edits(cfg, index, var, names.positions(var),
+                                 names.fresh(var))
+            if edits is not None:
+                for i, inst in edits.items():
+                    names.replace(i, work.instructions[i], inst)
+                    table.carry(work.instructions[i], inst)
+                    work.instructions[i] = inst
                 result.renames += 1
-            elif _reads_own_dst(work.instructions[index]):
+                continue
+            if _reads_own_dst(work.instructions[index]):
                 # Self-update (e.g. ``add i, i, 1``): no cut placement can
                 # separate the read from the write, so split into a fresh
                 # temporary plus a boundary-started copy-back — the WAR
                 # then spans the boundary, which is harmless.
-                work = _split_self_war(work, index)
-                result.rename_fallback_cuts += 1
+                work = _split_self_war(work, index, names.fresh(var), table)
             else:
                 work = insert_instructions(work, {index: [_RB]})
-                result.rename_fallback_cuts += 1
+            cfg, names = Cfg(work), None
+            result.rename_fallback_cuts += 1
             continue
         result.residual_reg_wars = list(scan.reg_wars)
         break
@@ -183,9 +199,7 @@ def form_regions(kernel: Kernel, policy: RegWarPolicy = RegWarPolicy.RENAME,
             and work.num_regs > regs_before:
         # Idempotence-aware reuse of the rename registers, so an unrolled
         # accumulator chain costs one fresh register instead of N.
-        from .compaction import compact_fresh_registers
-
-        work = compact_fresh_registers(work, regs_before)
+        work = compact_fresh_registers(work, regs_before, table)
 
     work.validate()
     result.kernel = work
@@ -199,23 +213,21 @@ def _reads_own_dst(inst: Instruction) -> bool:
         inst.dst in inst.read_regs() or inst.dst in inst.read_preds())
 
 
-def _split_self_war(kernel: Kernel, index: int) -> Kernel:
+def _split_self_war(kernel: Kernel, index: int, temp: Reg | Pred,
+                    table: SegmentTable) -> Kernel:
     """Rewrite ``op d, ...d...`` into ``op t, ...d...; RB; mov d, t``."""
-    from ..isa import Pred, Reg
-
     inst = kernel.instructions[index]
-    if isinstance(inst.dst, Reg):
-        temp = Reg(kernel.num_regs)
+    if isinstance(temp, Reg):
         copy_back = Instruction(op=Op.MOV, dst=inst.dst, srcs=(temp,),
                                 guard=inst.guard,
                                 guard_sense=inst.guard_sense)
     else:
-        temp = Pred(kernel.num_preds)
         copy_back = Instruction(op=Op.POR, dst=inst.dst, srcs=(temp, temp),
                                 guard=inst.guard,
                                 guard_sense=inst.guard_sense)
     new_instructions = list(kernel.instructions)
     new_instructions[index] = inst.with_(dst=temp)
+    table.carry(inst, new_instructions[index])
     split = Kernel(
         name=kernel.name,
         instructions=new_instructions,

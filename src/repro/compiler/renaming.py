@@ -12,36 +12,31 @@ sound.
 
 from __future__ import annotations
 
-from ..isa import Cfg, Instruction, Kernel, Pred, Reg
-from .dataflow import ReachingDefs
+from ..isa import Cfg, Instruction, Kernel
+from .dataflow import ReachingDefs, Var, VarIndex
 
 
-def try_rename(kernel: Kernel, cfg: Cfg, def_index: int, var) -> Kernel | None:
-    """Attempt to rename the definition of ``var`` at ``def_index``.
-
-    Returns the rewritten kernel, or None when renaming is unsound and
-    the caller must cut the region instead.
-    """
-    inst = kernel.instructions[def_index]
+def rename_edits(cfg: Cfg, def_index: int, var: Var, positions,
+                 fresh: Var) -> dict[int, Instruction] | None:
+    """The instructions that rename the definition of ``var`` at
+    ``def_index`` to ``fresh``, by index, or None when renaming is
+    unsound.  ``positions`` are the ascending indices of the
+    instructions of ``cfg.kernel`` that mention ``var``."""
+    instructions = cfg.kernel.instructions
+    inst = instructions[def_index]
     if inst.dst != var:
         return None
     if inst.guard is not None:
         return None  # partial definition: old lanes still need `var`
-    # Both queries below concern `var` alone, so analyse only `var`.
-    rdefs = ReachingDefs(cfg, only=var)
+    rdefs = ReachingDefs.at(cfg, var, positions)
     uses = [(u, v) for (u, v) in rdefs.uses_of_def(def_index) if v == var]
     for use_index, _ in uses:
         if rdefs.defs_reaching_use(use_index, var) != {def_index}:
             return None  # merge with another definition: not renameable
-    if isinstance(var, Reg):
-        fresh = Reg(kernel.num_regs)
-    else:
-        fresh = Pred(kernel.num_preds)
 
-    new_instructions = list(kernel.instructions)
-    new_instructions[def_index] = inst.with_(dst=fresh)
+    edits = {def_index: inst.with_(dst=fresh)}
     for use_index, _ in uses:
-        use_inst = new_instructions[use_index]
+        use_inst = edits.get(use_index, instructions[use_index])
         changes = {}
         if use_inst.srcs:
             changes["srcs"] = tuple(
@@ -53,12 +48,28 @@ def try_rename(kernel: Kernel, cfg: Cfg, def_index: int, var) -> Kernel | None:
         if use_inst.dst == var and use_inst.guard is not None:
             changes["dst"] = fresh
         if changes:
-            new_instructions[use_index] = use_inst.with_(**changes)
-    renamed = Kernel(
+            edits[use_index] = use_inst.with_(**changes)
+    return edits
+
+
+def try_rename(kernel: Kernel, cfg: Cfg, def_index: int, var) -> Kernel | None:
+    """Attempt to rename the definition of ``var`` at ``def_index``.
+
+    Returns the rewritten kernel, or None when renaming is unsound and
+    the caller must cut the region instead.
+    """
+    names = VarIndex(kernel)
+    edits = rename_edits(cfg, def_index, var, names.positions(var),
+                         names.fresh(var))
+    if edits is None:
+        return None
+    new_instructions = list(kernel.instructions)
+    for index, inst in edits.items():
+        new_instructions[index] = inst
+    return Kernel(
         name=kernel.name,
         instructions=new_instructions,
         labels=dict(kernel.labels),
         num_params=kernel.num_params,
         shared_words=kernel.shared_words,
     )
-    return renamed

@@ -88,8 +88,3 @@ class Cache:
     @property
     def miss_rate(self) -> float:
         return self.misses / self.accesses if self.accesses else 0.0
-
-    def counters(self) -> dict:
-        """Plain-data counter snapshot for telemetry/trace exporters."""
-        return {"hits": self.hits, "misses": self.misses,
-                "miss_rate": self.miss_rate}

@@ -183,3 +183,74 @@ J:
         formed = form_regions(kernel)
         join = formed.kernel.labels["J"]
         assert formed.kernel.instructions[join].op is Op.RB
+
+
+class TestGuardedRegisterWrites:
+    """A guarded write whose guard the region itself computed is a
+    register WAR: which lanes keep the old value is not a region input."""
+
+    def test_write_under_in_region_guard_is_war(self):
+        kernel = parse_kernel("""
+.kernel k
+    ld.param r0, [0]
+    ld.global r1, [r0]
+    setp.gt p0, r1, 0
+    @p0 add r2, r1, 1
+    st.global [r0+4], r2
+    exit
+""")
+        assert scan_kernel(kernel).reg_wars == [(3, Reg(2))]
+
+    def test_guard_from_guarded_def_counts(self):
+        kernel = parse_kernel("""
+.kernel k
+    ld.param r0, [0]
+    setp.gt p1, r0, 0
+    rb
+    @p1 setp.gt p0, r0, 4
+    @p0 add r2, r0, 1
+    exit
+""")
+        assert scan_kernel(kernel).reg_wars == [(4, Reg(2))]
+
+    def test_guard_from_before_boundary_is_input(self):
+        kernel = parse_kernel("""
+.kernel k
+    ld.param r0, [0]
+    setp.gt p0, r0, 0
+    rb
+    @p0 add r2, r0, 1
+    exit
+""")
+        assert scan_kernel(kernel).clean
+
+    def test_fully_written_destination_is_no_war(self):
+        kernel = parse_kernel("""
+.kernel k
+    ld.param r0, [0]
+    setp.gt p0, r0, 0
+    mov r2, 0
+    @p0 add r2, r0, 1
+    exit
+""")
+        assert scan_kernel(kernel).clean
+
+    def test_formation_cuts_before_the_write(self):
+        from repro.compiler import form_regions
+        from repro.isa import Op
+
+        kernel = parse_kernel("""
+.kernel k
+    ld.param r0, [0]
+    ld.global r1, [r0]
+    setp.gt p0, r1, 0
+    @p0 add r2, r1, 1
+    st.global [r0+4], r2
+    exit
+""")
+        formed = form_regions(kernel)
+        assert formed.rename_fallback_cuts == 1
+        guarded = next(i for i, inst in enumerate(formed.kernel.instructions)
+                       if inst.guard is not None)
+        assert formed.kernel.instructions[guarded - 1].op is Op.RB
+        assert scan_kernel(formed.kernel).clean

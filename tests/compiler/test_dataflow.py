@@ -5,7 +5,7 @@ from hypothesis import HealthCheck, given, settings
 
 from repro.compiler import (Liveness, ParamOrigin, Provenance, ReachingDefs,
                             allocate_registers)
-from repro.compiler.dataflow import BOTTOM
+from repro.compiler.dataflow import BOTTOM, VarIndex
 from repro.isa import Cfg, Pred, Reg, parse_kernel
 from repro.workloads import workload_by_name
 from tests.integration.test_property_based import random_kernel
@@ -104,14 +104,16 @@ class TestReachingDefs:
 
 
 def assert_one_variable_analysis_exact(kernel):
-    """``ReachingDefs(cfg, only=var)`` answers every query about ``var``
-    exactly as the whole-kernel analysis does, for every variable."""
+    """``ReachingDefs.at(cfg, var, positions)``, fed by the occurrence
+    index, answers every query about ``var`` exactly as the whole-kernel
+    analysis does, for every variable."""
     cfg = Cfg(kernel)
     whole = ReachingDefs(cfg)
+    names = VarIndex(kernel)
     variables = set(whole.defs_of) | {var for _, var in whole.use_defs}
     assert variables
     for var in variables:
-        one = ReachingDefs(cfg, only=var)
+        one = ReachingDefs.at(cfg, var, names.positions(var))
         uses = {key: defs for key, defs in whole.use_defs.items()
                 if key[1] == var}
         assert one.use_defs == uses, var
@@ -142,7 +144,8 @@ class TestOneVariableReachingDefs:
     def test_loop_merge_seen_by_one_variable(self):
         kernel = parse_kernel(LOOP)
         head = kernel.labels["HEAD"]
-        one = ReachingDefs(Cfg(kernel), only=Reg(0))
+        one = ReachingDefs.at(Cfg(kernel), Reg(0),
+                              VarIndex(kernel).positions(Reg(0)))
         assert len(one.defs_reaching_use(head, Reg(0))) == 2
         assert set(one.defs_of) == {Reg(0)}
 

@@ -194,9 +194,8 @@ J:
 
 
 class TestCompaction:
-    def test_accumulator_chain_shares_one_register(self):
-        """An unrolled accumulator chain renamed by region formation must
-        compact to O(1) fresh registers (WARAW reuse)."""
+    @staticmethod
+    def accumulator_kernel():
         b = KernelBuilder("acc", num_params=2)
         inp, outp = b.params(2)
         i = b.global_index()
@@ -207,14 +206,43 @@ class TestCompaction:
         for k in range(8):
             acc = b.add(acc, float(k), dst=acc)
         b.st_global(b.add(outp, i), acc)
-        kernel = b.build()
         from repro.compiler import allocate_registers
 
-        allocated = allocate_registers(kernel)
+        return allocate_registers(b.build())
+
+    def test_accumulator_chain_shares_one_register(self):
+        """An unrolled accumulator chain renamed by region formation must
+        compact to O(1) fresh registers (WARAW reuse)."""
+        allocated = self.accumulator_kernel()
         formed = form_regions(allocated.kernel)
         assert scan_kernel(formed.kernel).clean
         # Compaction keeps the register growth small.
         assert formed.kernel.num_regs <= allocated.num_regs + 3
+
+    def test_merges_validated_with_formation_provenance(self, monkeypatch):
+        """A provenance-blind formation stays blind through compaction.
+
+        No kernel has a merge that only provenance proves safe: a
+        merge renames a register that is dead wherever the other lives,
+        so it never makes two accesses' base versions differ that were
+        equal, and without provenance only equal versions disambiguate.
+        The test therefore checks the setting the merges are scanned
+        with."""
+        from repro.compiler.antidep import SegmentTable
+
+        scan = SegmentTable.scan
+        settings = []
+
+        def spy(table, kernel, cfg):
+            settings.append(table.use_provenance)
+            return scan(table, kernel, cfg)
+
+        monkeypatch.setattr(SegmentTable, "scan", spy)
+        allocated = self.accumulator_kernel()
+        formed = form_regions(allocated.kernel, use_provenance=False)
+        assert formed.renames >= 2
+        assert formed.kernel.num_regs <= allocated.num_regs + 3
+        assert settings and not any(settings)
 
     def test_compaction_noop_when_no_fresh(self):
         kernel = streaming_kernel()
