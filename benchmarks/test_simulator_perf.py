@@ -22,18 +22,16 @@ def _throughput(benchmark, name):
 
     result = benchmark(run)
     benchmark.extra_info["instructions"] = result.stats.instructions
-    benchmark.extra_info["mem_windows"] = result.stats.mem_windows_executed
 
 
 def test_simulator_throughput(benchmark):
-    """Memory-latency-bound streaming kernel (the memory-window
-    engine's headline workload)."""
+    """Memory-latency-bound streaming kernel."""
     _throughput(benchmark, "LBM")
 
 
 def test_simulator_throughput_sgemm(benchmark):
-    """Compute-heavy tiled kernel with barriers (superblock-friendly,
-    shared-memory traffic)."""
+    """Compute-heavy tiled kernel with barriers and shared-memory
+    traffic."""
     _throughput(benchmark, "SGEMM")
 
 

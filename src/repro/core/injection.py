@@ -328,24 +328,18 @@ class FaultInjector:
         self._addr_cache: dict[int, tuple[weakref.ref, set[int]]] = {}
 
     # ------------------------------------------------------------------
-    def tick(self, gpu: Gpu, cycle: int) -> bool:
-        """Process due strikes and detections; returns True when any
-        fired (callers use this to invalidate precomputed superblock
-        values — see ``Gpu.launch``)."""
-        acted = False
+    def tick(self, gpu: Gpu, cycle: int) -> None:
+        """Process due strikes and detections."""
         while (self._next_strike < len(self.strike_cycles)
                and self.strike_cycles[self._next_strike] <= cycle):
             self._strike(gpu, cycle)
             self._next_strike += 1
-            acted = True
         if self._pending_detect:
             due = [(c, s) for (c, s) in self._pending_detect if c <= cycle]
             self._pending_detect = [(c, s) for (c, s) in self._pending_detect
                                     if c > cycle]
             for _, sm_id in due:
                 self._detect(gpu, sm_id, cycle)
-                acted = True
-        return acted
 
     def next_event(self, cycle: int) -> int:
         candidates = []

@@ -717,18 +717,6 @@ SIM_COUNTERS = {
                           (("level", "l1"), ("event", "hits"))),
     "l1_misses": SimCounter("repro_sim_cache_events_total", _CACHE_HELP,
                             (("level", "l1"), ("event", "misses"))),
-    "superblocks_executed": SimCounter(
-        "repro_sim_superblocks_total",
-        "Superblock-vectorized windows executed."),
-    "superblock_fallbacks": SimCounter(
-        "repro_sim_superblock_fallbacks_total",
-        "Superblock windows that fell back to scalar execution, by "
-        "reason.", key_label="reason"),
-    "mem_windows_executed": SimCounter(
-        "repro_sim_mem_windows_total", "SM-level memory windows executed."),
-    "mem_window_insts": SimCounter(
-        "repro_sim_mem_window_insts_total",
-        "Instructions retired inside memory windows."),
 }
 
 

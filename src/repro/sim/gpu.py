@@ -160,30 +160,9 @@ class Gpu:
         reconv = reconvergence_table_for(kernel)
         plan = get_plan(kernel, self.config) if self.fast else None
         params = np.asarray(launch.params, dtype=np.float64)
-        # Superblock batching policy (repro.sim.superblock): value
-        # prefetch needs per-issue value semantics only, so it stays on
-        # under the sanitizer (a read-only checker) but not under the
-        # tracer (per-issue events) or golden-run liveness recording;
-        # timing scripts additionally require GTO (the only policy whose
-        # re-pick of an issuable current warp is a structural guarantee)
-        # and no per-cycle sanitizer checks.
-        batching = plan is not None and self.tracer is None
-        scripts = (batching and self.sanitizer is None
-                   and self.scheduler == "GTO")
         for sm in self.sms:
             sm.configure(kernel, global_mem, reconv, self.scheduler,
                          plan=plan)
-            sm._batching = batching
-            sm._scripts = scripts
-            if plan is not None:
-                fb = sm.stats.superblock_fallbacks
-                if self.tracer is not None:
-                    fb["tracer"] = fb.get("tracer", 0) + 1
-                else:
-                    if self.sanitizer is not None:
-                        fb["sanitizer"] = fb.get("sanitizer", 0) + 1
-                    if self.scheduler != "GTO":
-                        fb["scheduler"] = fb.get("scheduler", 0) + 1
         all_blocks = list(self._make_blocks(kernel, launch, params))
         total_blocks = len(all_blocks)
         if recorder is not None:
@@ -199,58 +178,6 @@ class Gpu:
                     global_mem.size, num_warps=num_warps, num_regs=num_regs)
             for sm in self.sms:
                 sm.liveness = recorder.liveness
-                if plan is not None:
-                    fb = sm.stats.superblock_fallbacks
-                    fb["liveness"] = fb.get("liveness", 0) + 1
-
-        injector = self.fault_injector
-        if injector is not None or recorder is not None or monitor is not None:
-            # The next cycle at which an observer acts (strike/detection
-            # delivery, checkpoint capture, convergence check): timing
-            # scripts and loop jumps must end strictly before it so the
-            # observer sees the exact cycle-by-cycle machine state.
-            def script_cap(c):
-                horizon = (injector.next_event(c) if injector is not None
-                           else NEVER)
-                if recorder is not None and recorder.next_due < horizon:
-                    horizon = recorder.next_due
-                if monitor is not None and monitor.next_cycle < horizon:
-                    horizon = monitor.next_cycle
-                return horizon
-        else:
-            script_cap = None
-        for sm in self.sms:
-            sm._script_cap = script_cap
-        # The launch loop may jump over spans where every scheduler of
-        # every busy SM is mid-script (each such cycle provably issues
-        # and touches no observer): only sound when nothing per-cycle is
-        # attached and the resilience runtime is the stateless baseline
-        # (a stateful runtime's conveyors need their tick every cycle).
-        null_resilience = all(type(sm.resilience) is ResilienceRuntime
-                              for sm in self.sms)
-        jump_ok = scripts and self.sanitizer is None and null_resilience
-        # Memory-aware scripted windows (Sm._open_window): whole-SM
-        # forward simulation with exact LSU/cache timing.  On top of the
-        # script conditions they need the stateless runtime (no per-cycle
-        # conveyor ticks inside a window), no golden-run liveness
-        # recording (per-issue read timestamps), and a single busy SM
-        # (concurrent SMs interleave on the shared L2 cycle by cycle).
-        single_sm = (self.config.sim_sms == 1
-                     or total_blocks <= blocks_per_sm)
-        mem_windows = (scripts and recorder is None and null_resilience
-                       and single_sm)
-        mem_sigs = (plan.mem_strides(launch.block[0])
-                    if plan is not None else None) or None
-        for sm in self.sms:
-            sm._windows = mem_windows
-            sm._win_budget = budget
-            sm._mem_sigs = mem_sigs
-        if scripts and not mem_windows and recorder is None:
-            # (The recorder case already booked "liveness" above.)
-            reason = "resilience" if not null_resilience else "multi_sm"
-            for sm in self.sms:
-                fb = sm.stats.superblock_fallbacks
-                fb[reason] = fb.get(reason, 0) + 1
 
         cycle = 0
         age = 0
@@ -292,14 +219,8 @@ class Gpu:
                 # error detected exactly WCDL cycles after a region end
                 # invalidates that region's verification (the tie goes to
                 # the detector).
-                if injector is not None:
-                    if injector.tick(self, cycle):
-                        # The injector touched machine state (strike or
-                        # detection delivery): every precomputed
-                        # superblock value may describe a pre-corruption
-                        # future — orphan them all.
-                        for sm in self.sms:
-                            sm._value_epoch += 1
+                if self.fault_injector is not None:
+                    self.fault_injector.tick(self, cycle)
                 if self.tracer is not None:
                     self.tracer.now = cycle
                 issued = 0
@@ -328,28 +249,6 @@ class Gpu:
                     break
                 if issued:
                     cycle += 1
-                    if jump_ok and not pending:
-                        # If every scheduler of every busy SM is still
-                        # mid-script, each elided cycle provably issues
-                        # (scripted slots count as issues) and no
-                        # observer can act before the earliest script
-                        # ends (each script was capped at creation).
-                        ju = NEVER
-                        for sm in self.sms:
-                            if not sm.busy:
-                                continue
-                            for sched in sm.schedulers:
-                                su = sched.script_until
-                                if su < ju:
-                                    ju = su
-                        if cycle <= ju < NEVER:
-                            d = ju - cycle + 1
-                            for sm in self.sms:
-                                if sm.busy:
-                                    st = sm.stats
-                                    st.active_cycles += d
-                                    st.issue_cycles += d
-                            cycle += d
                 else:
                     nxt = self._fast_forward(cycle)
                     skipped = nxt - cycle - 1

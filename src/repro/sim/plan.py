@@ -449,319 +449,6 @@ class PlannedInst:
         return active & ~guard
 
 
-#: Kept for the per-launch memory-signature analysis below: a register
-#: fact is ``(stride, base)``; *absence* from the state dict means
-#: "unknown / irregular".
-
-
-def analyze_mem_strides(records, warp_size: int,
-                        block_x: int) -> dict[int, int]:
-    """Per-lane address strides of timed memory records, proven by an
-    abstract interpretation of the whole kernel.
-
-    Each register is abstracted to ``(stride, base)``: its lane vector
-    is ``base + stride * lane`` for some warp-uniform ``base`` (the base
-    is kept when it is a compile/launch-time constant, else None).
-    Seeds: immediates and the warp-uniform specials are ``(0, v)``;
-    ``%laneid`` is ``(1, None)``; ``%tid.x`` / ``%tid.y`` are affine(1) /
-    uniform exactly when ``block_x`` is a multiple of the warp size (no
-    wrap inside a warp) — which is why signatures are resolved once per
-    launch geometry, not once per plan.  ADD/SUB/NEG propagate strides,
-    MUL/MAD/SHL scale them by known uniform factors, any op over
-    all-uniform inputs stays uniform, loads through non-uniform
-    addresses and everything else fall to irregular (fact dropped).
-
-    The interpretation is flow sensitive: straight-line runs between
-    *leaders* (branch targets, fall-throughs after branches,
-    reconvergence points) use strong updates, each leader state is the
-    meet of every incoming edge seen so far (pointwise join of facts; a
-    fact missing on any edge is dropped), and passes over the record
-    list repeat until the leader states stop changing.  That fixpoint
-    handles uniform loops: a loop-carried uniform counter stays uniform,
-    its known base degrading to None at the backedge meet.
-
-    Divergence is where affine facts die: a masked write leaves the
-    inactive lanes holding another write's value, and a blend of two
-    affine vectors is not affine.  Three rules keep blends out.  A write
-    guarded by a predicate not proven warp-uniform degrades its target
-    outright; a write under a *uniform* guard is all-or-nothing, so its
-    target meets old with new.  A branch on a non-uniform predicate
-    opens a divergent region up to its reconvergence PC: writes inside
-    stay valid for readers in the same region (they share the shrunken
-    active mask, so accessed lanes are exactly written lanes), but every
-    register or predicate the region's span writes is dropped on any
-    edge leaving the region — that is where the stale inactive lanes
-    rejoin.  A non-uniform *backward* branch has no such bracketing and
-    abandons the analysis (``{}``).  Per-lane EXIT needs no region:
-    exited lanes never reappear in an access vector, and a surviving
-    *subset* of an affine vector is exactly what the endpoint guards at
-    the point of use (``Sm._time_memory_fast``) verify before trusting
-    a closed form.
-
-    Returns ``{pc: stride}`` for every timed-mem record whose address
-    register has a proven stride; absent pcs are irregular.
-    """
-    bx_ok = block_x % warp_size == 0
-    n = len(records)
-
-    # Mutable walk state the helpers close over: affine facts for
-    # registers and the set of predicates proven warp-uniform.
-    regs: dict = {}
-    upreds: set = set()
-
-    def eval_src(src):
-        if isinstance(src, Imm):
-            v = float(src.value)
-            return (0, int(v)) if v.is_integer() else (0, None)
-        if isinstance(src, Special):
-            if src is Special.LANEID:
-                return (1, None)
-            if src is Special.TID_X:
-                return (1, None) if bx_ok else None
-            if src is Special.TID_Y:
-                return (0, None) if bx_ok else None
-            if src is Special.NTID_X:
-                return (0, block_x)
-            return (0, None)  # NTID_Y / CTAID / NCTAID / WARPID
-        if isinstance(src, Reg):
-            return regs.get(src)
-        return None  # predicates as value sources are handled per-op
-
-    def add(a, b, sign):
-        if a is None or b is None:
-            return None
-        value = (a[1] + sign * b[1]
-                 if a[1] is not None and b[1] is not None else None)
-        return (a[0] + sign * b[0], value)
-
-    def mul(a, b):
-        if a is None or b is None:
-            return None
-        if a[0] == 0 and a[1] is not None:
-            value = a[1] * b[1] if b[1] is not None else None
-            return (a[1] * b[0], value)
-        if b[0] == 0 and b[1] is not None:
-            return (b[1] * a[0], None)
-        if a[0] == 0 and b[0] == 0:
-            return (0, None)
-        return None
-
-    def join(a, b):
-        if a is None or b is None:
-            return None
-        if a == b:
-            return a
-        if a[0] == b[0]:
-            return (a[0], None)  # same stride, different bases
-        return None
-
-    def transfer(inst):
-        op = inst.op
-        srcs = inst.srcs
-        if op is Op.MOV:
-            return eval_src(srcs[0])
-        if op is Op.ADD:
-            return add(eval_src(srcs[0]), eval_src(srcs[1]), 1)
-        if op is Op.SUB:
-            return add(eval_src(srcs[0]), eval_src(srcs[1]), -1)
-        if op is Op.NEG:
-            a = eval_src(srcs[0])
-            if a is None:
-                return None
-            return (-a[0], -a[1] if a[1] is not None else None)
-        if op is Op.MUL:
-            return mul(eval_src(srcs[0]), eval_src(srcs[1]))
-        if op is Op.MAD:
-            return add(mul(eval_src(srcs[0]), eval_src(srcs[1])),
-                       eval_src(srcs[2]), 1)
-        if op is Op.SHL:
-            a, k = eval_src(srcs[0]), eval_src(srcs[1])
-            if (a is None or k is None or k[0] != 0 or k[1] is None
-                    or not 0 <= k[1] < 62):
-                return None
-            f = 1 << k[1]
-            return (a[0] * f, a[1] * f if a[1] is not None else None)
-        if op is Op.SELP:
-            if srcs[2] not in upreds:
-                return None
-            return join(eval_src(srcs[0]), eval_src(srcs[1]))
-        if op is Op.LD:
-            if inst.space is Space.PARAM:
-                return (0, None)  # params broadcast a warp-uniform word
-            a = eval_src(srcs[0])
-            # A load through a uniform address reads one location in
-            # every lane; any other pattern yields arbitrary data.
-            return (0, None) if a is not None and a[0] == 0 else None
-        if inst.info.is_atomic:
-            return None
-        # Any remaining lane-wise op (MIN/MAX/DIV/REM/ABS/FLOOR,
-        # bitwise, SFU): uniform inputs give a uniform output.
-        vals = [eval_src(s) for s in srcs if not isinstance(s, Pred)]
-        if all(v is not None and v[0] == 0 for v in vals):
-            return (0, None)
-        return None
-
-    # Control-flow skeleton: a leader is any pc where paths can merge.
-    leaders = {0}
-    for pc, rec in enumerate(records):
-        if rec.kind == K_BRA:
-            if 0 <= rec.target < n:
-                leaders.add(rec.target)
-            if pc + 1 < n:
-                leaders.add(pc + 1)
-            if 0 <= rec.reconv_pc < n:
-                leaders.add(rec.reconv_pc)
-
-    def span_defs(lo, hi):
-        defs = set()
-        for i in range(lo, min(hi, n)):
-            d = records[i].inst.dst
-            if d is not None:
-                defs.add(d)
-        return defs
-
-    def kill(defs):
-        for d in defs:
-            if isinstance(d, Pred):
-                upreds.discard(d)
-            else:
-                regs.pop(d, None)
-
-    # Leader pc -> (reg facts, uniform preds) met over every incoming
-    # edge seen so far; absent = no path has reached it yet.
-    leader_in: dict = {}
-
-    def meet_into(pc) -> bool:
-        state = leader_in.get(pc)
-        if state is None:
-            leader_in[pc] = (dict(regs), set(upreds))
-            return True
-        iregs, ipreds = state
-        changed = False
-        for d in list(iregs):
-            v = join(iregs[d], regs.get(d))
-            if v is None:
-                del iregs[d]
-                changed = True
-            elif v != iregs[d]:
-                iregs[d] = v
-                changed = True
-        dropped = ipreds - upreds
-        if dropped:
-            ipreds -= dropped
-            changed = True
-        return changed
-
-    strides: dict[int, int] = {}
-    for _ in range(n + 4):
-        changed = False
-        regs.clear()
-        upreds.clear()
-        live = True  # is the walk position reachable on some path?
-        regions: list = []  # open divergent regions: (reconv pc, defs)
-        for pc, rec in enumerate(records):
-            if pc in leaders:
-                if live:
-                    for end, defs in regions:
-                        if end <= pc:  # falling out of the region
-                            kill(defs)
-                    if meet_into(pc):
-                        changed = True
-                state = leader_in.get(pc)
-                live = state is not None
-                regs.clear()
-                upreds.clear()
-                if live:
-                    regs.update(state[0])
-                    upreds.update(state[1])
-            while regions and regions[-1][0] <= pc:
-                regions.pop()
-            if not live:
-                continue
-            inst = rec.inst
-            if rec.kind == K_BRA:
-                guard = inst.guard
-                uniform = guard is None or guard in upreds
-                target = rec.target
-                if not uniform:
-                    if 0 <= target < pc:
-                        return {}  # divergent backward branch: give up
-                    end = rec.reconv_pc
-                    if end > pc + 1:
-                        regions.append((end, span_defs(pc + 1, end)))
-                if 0 <= target < n:
-                    saved = (dict(regs), set(upreds))
-                    for end, defs in regions:
-                        if end <= target:  # taken edge leaves the region
-                            kill(defs)
-                    if meet_into(target):
-                        changed = True
-                    regs.clear()
-                    upreds.clear()
-                    regs.update(saved[0])
-                    upreds.update(saved[1])
-                if guard is None:
-                    live = False  # unconditional: fall-through is dead
-                continue
-            if rec.kind != K_VALUE:
-                # Barriers fall through; a *guarded* EXIT is per-lane
-                # and also falls through (see docstring).
-                if rec.kind == K_EXIT and inst.guard is None:
-                    live = False
-                continue
-            # Record timed-mem address facts positionally: the walk of
-            # the final (stable) pass leaves the proven strides.  The
-            # record's own guard does not matter — a masked access is a
-            # lane subset, which the endpoint checks at use handle.
-            if rec.is_timed_mem:
-                a = eval_src(inst.srcs[0])
-                if a is not None:
-                    strides[pc] = int(a[0])
-                else:
-                    strides.pop(pc, None)
-            dst = inst.dst
-            if dst is None:
-                continue
-            guard = inst.guard
-            if guard is not None and guard not in upreds:
-                kill((dst,))  # divergent maybe-write: a lane blend
-                continue
-            maybe = guard is not None  # uniform guard: all-or-nothing
-            if isinstance(dst, Pred):
-                op = inst.op
-                if op is Op.SETP:
-                    a = eval_src(inst.srcs[0])
-                    b = eval_src(inst.srcs[1])
-                    new = (a is not None and a[0] == 0
-                           and b is not None and b[0] == 0)
-                elif op is Op.PNOT:
-                    new = inst.srcs[0] in upreds
-                elif op in (Op.PAND, Op.POR):
-                    new = (inst.srcs[0] in upreds
-                           and inst.srcs[1] in upreds)
-                else:
-                    new = False
-                if maybe:
-                    new = new and dst in upreds
-                if new:
-                    upreds.add(dst)
-                else:
-                    upreds.discard(dst)
-                continue
-            new = transfer(inst)
-            if maybe:
-                new = join(regs.get(dst), new)
-            if new is not None:
-                regs[dst] = new
-            else:
-                regs.pop(dst, None)
-        if not changed:
-            break
-    else:
-        return {}
-    return strides
-
-
 def _latency_of(config: GpuConfig, fu: FuClass) -> int:
     if fu is FuClass.ALU:
         return config.alu_latency
@@ -776,8 +463,7 @@ class ExecPlan:
     """Per-(kernel, config) table of :class:`PlannedInst` records."""
 
     __slots__ = ("kernel", "config", "records", "rb_flags", "num_insts",
-                 "instructions", "inst_ids", "labels_key", "sb_len",
-                 "_sb_info", "_mem_strides")
+                 "instructions", "inst_ids", "labels_key")
 
     def __init__(self, kernel: Kernel, config: GpuConfig,
                  reconv: dict[int, int]) -> None:
@@ -791,36 +477,6 @@ class ExecPlan:
         self.records = [PlannedInst(i, inst, kernel, config, reconv)
                         for i, inst in enumerate(self.instructions)]
         self.rb_flags = [rec.is_rb for rec in self.records]
-        from .superblock import superblock_lengths
-
-        #: Per-PC superblock lengths for batched execution (repro.sim.
-        #: superblock); metadata for each block start is built lazily.
-        self.sb_len = superblock_lengths(self.records)
-        self._sb_info: dict = {}
-        #: Memory signatures per launch geometry: {block_x: {pc: stride}}.
-        self._mem_strides: dict = {}
-
-    def superblock_info(self, pc: int):
-        """Lazily-built :class:`~repro.sim.superblock.SuperblockInfo`
-        for the superblock starting at ``pc``."""
-        info = self._sb_info.get(pc)
-        if info is None:
-            from .superblock import SuperblockInfo
-
-            info = SuperblockInfo(self.records, pc, self.sb_len[pc])
-            self._sb_info[pc] = info
-        return info
-
-    def mem_strides(self, block_x: int) -> dict[int, int]:
-        """Proven per-lane address strides of timed-mem records under a
-        launch with ``blockDim.x == block_x`` (see
-        :func:`analyze_mem_strides`), computed once per geometry."""
-        sigs = self._mem_strides.get(block_x)
-        if sigs is None:
-            sigs = analyze_mem_strides(self.records, self.config.warp_size,
-                                       block_x)
-            self._mem_strides[block_x] = sigs
-        return sigs
 
     def matches(self, kernel: Kernel) -> bool:
         return (self.inst_ids == tuple(map(id, kernel.instructions))
@@ -859,7 +515,7 @@ def get_plan(kernel: Kernel, config: GpuConfig) -> ExecPlan:
     return plan
 
 
-__all__ = ["ExecPlan", "PlannedInst", "analyze_mem_strides", "get_plan",
+__all__ = ["ExecPlan", "PlannedInst", "get_plan",
            "PLAN_CACHE_SIZE",
            "K_VALUE", "K_BRA", "K_BAR", "K_EXIT",
            "T_ATOMIC", "T_SHARED", "T_GLOBAL"]

@@ -22,14 +22,6 @@ class WarpScheduler:
 
     name = "base"
 
-    #: Timing-script horizon (repro.sim.superblock): while ``cycle <=
-    #: script_until`` this scheduler's current warp has already had its
-    #: issues bulk-applied, so ``Sm.tick`` counts an issue without
-    #: calling ``pick``.  Derived state — always in the past at any
-    #: checkpoint boundary (scripts cannot span observer events), so it
-    #: is deliberately absent from capture/restore.
-    script_until = -1
-
     #: Failed-pick memo (fast path only): after a pick returns None,
     #: ``Sm.tick`` records the earliest cycle any managed warp could
     #: become issuable plus a validation stamp (sum of warp versions and
@@ -37,7 +29,7 @@ class WarpScheduler:
     #: so it is skipped.  Only valid for policies whose failed pick has
     #: no side effects (``pick_pure_on_fail``) — Two-Level demotes
     #: stalled warps on failure and must re-run every cycle.  Derived
-    #: state, absent from capture/restore like ``script_until``.
+    #: state, deliberately absent from capture/restore.
     none_until = -1
     none_vstamp = -1
     none_lsu = -1

@@ -10,9 +10,6 @@ protocol on these hooks.
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from math import gcd
-
 import numpy as np
 
 from ..arch import GpuConfig
@@ -20,10 +17,9 @@ from ..errors import SimError
 from ..isa import FuClass, Instruction, Kernel, Op, Pred, Reg, Space
 from .caches import Cache
 from .functional import MemAccess, execute, guard_mask
-from .plan import ExecPlan, K_BAR, K_BRA, K_EXIT, K_VALUE, T_ATOMIC, T_SHARED
+from .plan import ExecPlan, K_BAR, K_BRA, K_VALUE, T_ATOMIC, T_SHARED
 from .schedulers import WarpScheduler, make_scheduler
 from .stats import STALL_CAUSES, SimStats
-from .superblock import build_prefetch
 from .warp import Warp, WarpState
 
 #: Big sentinel for "no next event".
@@ -154,38 +150,6 @@ class Sm:
         #: Golden-run memory access tracker (set by Gpu.launch when a
         #: checkpoint recorder is attached; None on ordinary runs).
         self.liveness = None
-        # Superblock batching (repro.sim.superblock).  ``_value_epoch``
-        # bumps whenever the fault injector acts anywhere on the GPU,
-        # orphaning every outstanding value prefetch; ``_batching`` and
-        # ``_scripts`` are launch-level enables set by ``Gpu.launch``;
-        # ``_script_cap`` is a callable giving the next observer event
-        # (strike, checkpoint capture, convergence check) scripts must
-        # not span, or None when no observer is attached.
-        self._value_epoch = 0
-        self._batching = False
-        self._scripts = False
-        self._script_cap = None
-        # Memory-aware scripted windows (``_open_window``): a launch-level
-        # enable set by ``Gpu.launch`` (GTO + null resilience + no
-        # recorder + single busy SM), the launch cycle budget windows
-        # must not outrun, and the committed per-cycle accounting of the
-        # active window — a list of contiguous ``(start, end, cause,
-        # culprit)`` segments (``cause None`` = every cycle issues) that
-        # ``_consume_window`` replays cycle-indexed as ``tick`` and the
-        # fast-forward machinery ask for them.
-        self._windows = False
-        self._win_budget = NEVER
-        self._win_segs = None
-        self._win_i = 0
-        #: Plan-time memory signatures (``plan.analyze_mem_strides``):
-        #: {pc: per-lane address stride} for timed-mem records with a
-        #: proven affine pattern, resolved per launch geometry by
-        #: ``Gpu.launch``.  ``_time_memory_fast`` turns a proven stride
-        #: into closed-form coalescing/bank-degree answers after a
-        #: scalar endpoint verification (which also rejects the one
-        #: pattern static affinity cannot see: int64 truncation of a
-        #: fractional base crossing zero).
-        self._mem_sigs = None
         #: Event tracer (``repro.obs.Tracer``) or None.  The None case
         #: costs a single truthiness check per tick: the traced tick is
         #: a separate method, so the hot path stays branch-free.
@@ -329,10 +293,6 @@ class Sm:
         # when the snapshot was taken, not the restore target's.
         self._stall_cause = None
         self._trace_stall_cause = None
-        # An active memory window scripts *future* cycles of the run the
-        # snapshot came from; the restore target re-derives its own.
-        self._win_segs = None
-        self._win_i = 0
 
     def state_equals(self, state: dict, include_data: bool = True) -> bool:
         """Exact equality against a :meth:`capture_state` snapshot,
@@ -435,27 +395,7 @@ class Sm:
             return self._tick_traced(cycle, issuable, issue, self.tracer)
         issued = 0
         fast = self.plan is not None
-        if fast:
-            if self._win_segs is not None:
-                booked = self._consume_window(cycle)
-                if booked >= 0:
-                    return booked
-            if self._windows and self.warps:
-                clear = True
-                for scheduler in self.schedulers:
-                    if scheduler.script_until >= cycle:
-                        clear = False
-                        break
-                if clear and self._open_window(cycle):
-                    return self._consume_window(cycle)
         for scheduler in self.schedulers:
-            if scheduler.script_until >= cycle:
-                # This slot's current warp already had its issues for
-                # this cycle bulk-applied by a timing script; it counts
-                # as an issue without re-running pick (GTO provably
-                # re-picks the same warp throughout the script window).
-                issued += 1
-                continue
             if fast and scheduler.none_until > cycle:
                 # A recent pick failed and nothing that could make a
                 # managed warp ready has happened since (warp versions
@@ -729,418 +669,18 @@ class Sm:
         scheduler.none_vstamp = vsum
         scheduler.none_lsu = lsu
 
-    # ------------------------------------------------------------------
-    # Memory-aware scripted windows
-    # ------------------------------------------------------------------
-    def _open_window(self, cycle: int) -> bool:
-        """Simulate the whole SM forward from ``cycle`` in one flat loop
-        and record per-cycle accounting as contiguous segments.
-
-        Soundness (why bulk-simulating is byte-identical to per-cycle
-        ticks — see EXPERIMENTS.md for the full argument):
-
-        * Both schedulers run in issue order each cycle with the exact
-          GTO pick semantics, including ``_current`` turning None on a
-          failed pick, so every pick — and therefore every LSU and cache
-          access order — matches the live machine.
-        * The window stops *before* any cycle at which a barrier, exit,
-          or finished-warp retire slot could issue (those records never
-          use the LSU, so their issuability is known at cycle top), and
-          strictly before the next observer event (strike, checkpoint,
-          convergence check) and the launch budget.  Everything that
-          remains is straight-line value/branch execution whose
-          intermediate cycles nothing can observe.
-        * Gap cycles are booked with one stall classification taken at
-          the gap's first cycle — the same cause the live machine's
-          idle-elision/fast-forward path extends over the whole gap.
-        * Windows always end on an issue cycle (trailing gaps are
-          discarded un-booked): the committed machine state at the
-          window end is exactly the live state, so post-window stall
-          classification falls to the normal machinery unchanged.
-
-        Returns True when a window was committed (machine state has
-        advanced to the window end; ``_win_segs`` holds the accounting).
-        A failed open mutates nothing.
-        """
-        limit = self._win_budget
-        cap = self._script_cap
-        if cap is not None:
-            horizon = cap(cycle) - 1
-            if horizon < limit:
-                limit = horizon
-        if limit < cycle:
-            return False
-        plan = self.plan
-        records = plan.records
-        rb_flags = plan.rb_flags
-        mem = self.global_mem
-        stats = self.stats
-        schedulers = self.schedulers
-        nsched = len(schedulers)
-        ACTIVE = WarpState.ACTIVE
-
-        # Earliest-ready memo, valid in-window: score_ops only ever name
-        # the warp's own registers, so a warp's ready cycle changes only
-        # when it issues (entry dropped there).  The LSU horizon is
-        # checked at pick time, never embedded.
-        rcache: dict[Warp, tuple[int, bool]] = {}
-
-        def ready_of(w):
-            entry = rcache.get(w)
-            if entry is None:
-                rec = records[w.stack[-1].pc]
-                r = w.wakeup_cycle
-                pending = w.pending
-                if pending:
-                    get = pending.get
-                    for operand in rec.score_ops:
-                        at = get(operand, 0)
-                        if at > r:
-                            r = at
-                entry = (r, rec.is_timed_mem)
-                rcache[w] = entry
-            return entry
-
-        # Warps whose next issue would end the window: at a BAR or EXIT
-        # record, or finished (their next issue slot is the retirement).
-        stoppers = set()
-        for w in self.warps:
-            if w.state is ACTIVE and (w._finished or records[
-                    w.stack[-1].pc].kind >= K_BAR):
-                stoppers.add(w)
-
-        # The live GTO pick treats a detached ``_current`` as absent;
-        # membership cannot change in-window, so validate once.
-        cur = []
-        for sched in schedulers:
-            w = sched._current
-            cur.append(w if w is not None and w in sched.warps else None)
-
-        # Issue execution below is ``_issue_fast`` inlined and trimmed
-        # for the window invariants: no per-issue ``wake`` version bump
-        # or ``retire_pending`` (both provably deferrable to commit),
-        # stats accumulated per-pc and booked once, scripts bypassed
-        # (the loop itself owns cycle accounting) — but the cross-warp
-        # value-prefetch discipline is kept intact, epoch/pc validation
-        # included, so every value lands exactly as the live path's.
-        epoch = self._value_epoch
-        batching = self._batching and self.liveness is None
-        sb_len = plan.sb_len
-        superblock_info = plan.superblock_info
-        warps_all = self.warps
-        icounts = [0] * len(records)
-        issued_at: dict[Warp, int] = {}
-        sb_exec = sb_insts = inval = no_peer = 0
-        segs = []
-        dense_start = -1
-        issues = 0
-        c = cycle
-        while c <= limit:
-            stop = False
-            for w in stoppers:
-                if w.wakeup_cycle <= c and (w._finished
-                                            or ready_of(w)[0] <= c):
-                    stop = True
-                    break
-            if stop:
-                break
-            nissued = 0
-            for k in range(nsched):
-                sched = schedulers[k]
-                pick = cur[k]
-                if pick is not None:
-                    if (pick.state is not ACTIVE or pick._finished
-                            or pick.wakeup_cycle > c):
-                        pick = None
-                    else:
-                        r, timed = ready_of(pick)
-                        if r > c or (timed and self._lsu_free_at > c):
-                            pick = None
-                if pick is None:
-                    for cand in sched.warps:
-                        if (cand.state is not ACTIVE or cand._finished
-                                or cand.wakeup_cycle > c):
-                            continue
-                        r, timed = ready_of(cand)
-                        if r <= c and not (timed
-                                           and self._lsu_free_at > c):
-                            pick = cand
-                            break
-                    cur[k] = pick
-                if pick is None:
-                    continue
-                nissued += 1
-                pc = pick.stack[-1].pc
-                rec = records[pc]
-                pick.wakeup_cycle = c + 1
-                pick.insts_since_boundary += 1
-                icounts[pc] += 1
-                if rec.kind == K_VALUE:
-                    pf = pick._pf
-                    if pf is not None and (pf.epoch != epoch
-                                           or pc != pf.pc0 + pick._pf_j):
-                        pick._pf = pf = None
-                        inval += 1
-                    if pf is None and batching and sb_len[pc] > 1:
-                        group = [w for w in warps_all if not w._finished
-                                 and w.stack[-1].pc == pc]
-                        if len(group) > 1:
-                            build_prefetch(plan, superblock_info(pc),
-                                           group, epoch)
-                            pf = pick._pf
-                            sb_exec += 1
-                        else:
-                            no_peer += 1
-                    if pf is not None:
-                        j = pick._pf_j
-                        i = pick._pf_i
-                        out = pf.outs[j]
-                        ctx = pick.ctx
-                        if out is not None:
-                            if rec.dst_is_pred:
-                                ctx.preds[rec.dst_index][...] = out[i]
-                            else:
-                                ctx.regs[rec.dst_index][...] = out[i]
-                        if rec.track_reg_write:
-                            pick.last_write = rec.dst
-                            pick.last_write_pc = pc
-                            pick.last_write_mask = pf.masks[j][i]
-                        elif rec.track_pred_write:
-                            pick.last_pred_write = rec.dst
-                            pick.last_pred_write_pc = pc
-                            pick.last_pred_write_mask = pf.masks[j][i]
-                        if rec.dst is not None:
-                            pick.pending[rec.dst] = c + rec.latency
-                        if j + 1 < pf.n:
-                            pick._pf_j = j + 1
-                        else:
-                            pick._pf = None
-                        sb_insts += 1
-                        pick.advance()
-                    else:
-                        ctx = pick.ctx
-                        active = pick.stack[-1].mask & pick._not_exited
-                        mask = rec.guard(ctx, active)
-                        access = rec.run(ctx, mask, mem,
-                                         pick.block.shared)
-                        if rec.track_reg_write:
-                            pick.last_write = rec.dst
-                            pick.last_write_pc = pc
-                            pick.last_write_mask = mask
-                        elif rec.track_pred_write:
-                            pick.last_pred_write = rec.dst
-                            pick.last_pred_write_pc = pc
-                            pick.last_pred_write_mask = (
-                                rec.guard(ctx, active)
-                                if rec.guard_recheck else mask)
-                        if rec.track_shared_store and access is not None:
-                            pick.last_shared_write = access.addresses
-                        if rec.is_timed_mem:
-                            self._time_memory_fast(pick, rec, access, c)
-                        elif rec.dst is not None:
-                            pick.pending[rec.dst] = c + rec.latency
-                        pick.advance()
-                else:  # K_BRA (BAR/EXIT/retire slots stop the window)
-                    pick.take_branch_planned(rec)
-                npc = pick.stack[-1].pc
-                if rb_flags[npc]:
-                    self.skip_markers(pick, c)
-                    npc = pick.stack[-1].pc
-                rcache.pop(pick, None)
-                issued_at[pick] = c
-                if pick._finished or records[npc].kind >= K_BAR:
-                    stoppers.add(pick)
-                else:
-                    stoppers.discard(pick)
-            if nissued:
-                if dense_start < 0:
-                    dense_start = c
-                issues += nissued
-                c += 1
-                continue
-            # Gap: close the dense run, classify the stall once (the
-            # cause provably holds through the gap — exactly what the
-            # live fast-forward books), and skip to the next ready
-            # cycle.
-            if dense_start >= 0:
-                segs.append((dense_start, c - 1, None, -1))
-                dense_start = -1
-            lsu = self._lsu_free_at
-            nxt = NEVER
-            for w in warps_all:
-                if w.state is not ACTIVE:
-                    continue
-                if w._finished:
-                    r = w.wakeup_cycle
-                else:
-                    r, timed = ready_of(w)
-                    if timed and lsu > r:
-                        r = lsu
-                if r < nxt:
-                    nxt = r
-            if nxt > limit or nxt >= NEVER:
-                break
-            if nxt <= c:  # unreachable (nothing issuable at c)
-                nxt = c + 1
-            cause, culprit = self._classify_stall(c)
-            segs.append((c, nxt - 1, cause, culprit))
-            c = nxt
-        if dense_start >= 0:
-            segs.append((dense_start, c - 1, None, -1))
-        # Trailing gaps are never booked: the committed state at the
-        # last issue cycle is the exact live state, so the normal
-        # machinery re-derives those stalls identically.
-        while segs and segs[-1][2] is not None:
-            segs.pop()
-        if not segs:
-            return False
-        for w, t in issued_at.items():
-            # One retire at the warp's last issue replaces the per-issue
-            # retires: both leave exactly the pending entries whose
-            # ready cycle exceeds that final cycle.  The version bump
-            # invalidates every scheduler/ready memo at once.
-            w.retire_pending(t)
-            w.version += 1
-        for k in range(nsched):
-            schedulers[k]._current = cur[k]
-        for pc, n in enumerate(icounts):
-            if n:
-                rec = records[pc]
-                stats.instructions += n
-                stats.by_fu[rec.fu] += n
-                if rec.shadow:
-                    stats.shadow_instructions += n
-                if rec.ckpt:
-                    stats.ckpt_instructions += n
-        stats.superblocks_executed += sb_exec
-        stats.superblock_insts += sb_insts
-        if inval or no_peer:
-            fb = stats.superblock_fallbacks
-            if inval:
-                fb["invalidated"] = fb.get("invalidated", 0) + inval
-            if no_peer:
-                fb["no_peer"] = fb.get("no_peer", 0) + no_peer
-        self._win_segs = segs
-        self._win_i = 0
-        stats.mem_windows_executed += 1
-        stats.mem_window_insts += issues
-        return True
-
-    def _consume_window(self, cycle: int) -> int:
-        """Book ``cycle`` from the active window's segment accounting;
-        returns the issue count for ``tick`` (1 dense / 0 gap), or -1
-        when the window is exhausted (caller falls through to the
-        normal per-cycle path)."""
-        segs = self._win_segs
-        i = self._win_i
-        n = len(segs)
-        while i < n and segs[i][1] < cycle:
-            i += 1
-        if i >= n:
-            self._win_segs = None
-            self._win_i = 0
-            return -1
-        self._win_i = i
-        start, end, cause, culprit = segs[i]
-        stats = self.stats
-        stats.active_cycles += 1
-        if cause is None:
-            stats.issue_cycles += 1
-            self._stall_cause = None
-            # Every cycle through ``end`` issues: let the launch loop's
-            # jump elision book them in bulk, exactly like a script.
-            for sched in self.schedulers:
-                sched.script_until = end
-            return 1
-        stats.idle_cycles += 1
-        stats.count_stall(cause, culprit)
-        self._stall_cause = cause
-        self._stall_warp = culprit
-        return 0
-
     def _issue_fast(self, warp: Warp, cycle: int) -> None:
         """Plan-driven ``_issue``: table dispatch over precomputed records."""
         if warp._finished:
             self._retire(warp, cycle)
             return
-        plan = self.plan
-        rec = plan.records[warp.stack[-1].pc]
+        rec = self.plan.records[warp.stack[-1].pc]
         warp.wake(cycle + 1)
         warp.insts_since_boundary += 1
         self.stats.count_issue(rec.fu, rec.shadow, rec.ckpt)
         kind = rec.kind
 
         if kind == K_VALUE:
-            pc = warp.stack[-1].pc
-            pf = warp._pf
-            if pf is not None and (pf.epoch != self._value_epoch
-                                   or pc != pf.pc0 + warp._pf_j):
-                # Injector activity or an out-of-band PC change since
-                # the prefetch was built: recompute per-record.
-                warp._pf = pf = None
-                fb = self.stats.superblock_fallbacks
-                fb["invalidated"] = fb.get("invalidated", 0) + 1
-            if (pf is None and self._batching and self.liveness is None
-                    and plan.sb_len[pc] > 1):
-                group = [w for w in self.warps
-                         if not w._finished and w.stack[-1].pc == pc]
-                if len(group) > 1:
-                    build_prefetch(plan, plan.superblock_info(pc), group,
-                                   self._value_epoch)
-                    pf = warp._pf
-                    self.stats.superblocks_executed += 1
-                elif self._scripts:
-                    # A lone warp gains nothing from value batching
-                    # (same NumPy call count), but an event-free window
-                    # can still be *scripted directly*: execute the
-                    # records in order on the warp's own context within
-                    # this issue slot.  Values land early only inside
-                    # the window, which nothing can observe (same caps
-                    # as prefetched scripts), and every pending entry
-                    # carries its true issue cycle.
-                    info = plan.superblock_info(pc)
-                    s = self._script_len(warp, info, 0, cycle)
-                    if s > 1:
-                        self._run_script_direct(warp, info, s, cycle, pc)
-                        return
-                    fb = self.stats.superblock_fallbacks
-                    fb["no_peer"] = fb.get("no_peer", 0) + 1
-                else:
-                    fb = self.stats.superblock_fallbacks
-                    fb["no_peer"] = fb.get("no_peer", 0) + 1
-            if pf is not None:
-                j = warp._pf_j
-                if self._scripts and pf.n - j > 1:
-                    s = self._script_len(warp, pf.info, j, cycle)
-                    if s > 1:
-                        self._apply_script(warp, pf, j, s, cycle, pc)
-                        return
-                i = warp._pf_i
-                out = pf.outs[j]
-                ctx = warp.ctx
-                if out is not None:
-                    if rec.dst_is_pred:
-                        ctx.preds[rec.dst_index][...] = out[i]
-                    else:
-                        ctx.regs[rec.dst_index][...] = out[i]
-                if rec.track_reg_write:
-                    warp.last_write = rec.dst
-                    warp.last_write_pc = pc
-                    warp.last_write_mask = pf.masks[j][i]
-                elif rec.track_pred_write:
-                    warp.last_pred_write = rec.dst
-                    warp.last_pred_write_pc = pc
-                    warp.last_pred_write_mask = pf.masks[j][i]
-                if rec.dst is not None:
-                    warp.pending[rec.dst] = cycle + rec.latency
-                if j + 1 < pf.n:
-                    warp._pf_j = j + 1
-                else:
-                    warp._pf = None
-                self.stats.superblock_insts += 1
-                warp.advance()
-                self._after_pc_change(warp, cycle)
-                return
             ctx = warp.ctx
             active = warp.stack[-1].mask & warp._not_exited
             mask = rec.guard(ctx, active)
@@ -1185,142 +725,6 @@ class Sm:
             self._retire(warp, cycle)
         else:
             self._after_pc_change(warp, cycle)
-
-    def _script_len(self, warp: Warp, info, j: int, cycle: int) -> int:
-        """Longest run of prefetched records, starting at offset ``j``,
-        that the warp provably issues on consecutive cycles under GTO
-        with no observer event in the window.
-
-        Inside such a window the warp is issuable every cycle (no
-        scoreboard or LSU stall — superblock records never use the LSU),
-        so greedy GTO re-picks it; and no strike, detection, conveyor
-        pop, checkpoint capture, or convergence check can observe the
-        intermediate cycles.  Bulk-applying the issues is therefore
-        indistinguishable from cycle-by-cycle issue.
-        """
-        s = info.hazard_free[j]
-        pending = warp.pending
-        if pending:
-            uses = info.uses
-            for op, ready in pending.items():
-                if ready <= cycle:
-                    continue
-                offs = uses.get(op)
-                if offs is None:
-                    continue
-                u = offs[bisect_left(offs, j)] if offs[-1] >= j else -1
-                if u >= j:
-                    t = u - j
-                    if t < s and cycle + t < ready:
-                        s = t
-        if s < 2:
-            return 1
-        cap = self._script_cap
-        if cap is not None:
-            horizon = cap(cycle)
-            if cycle + s > horizon:
-                s = horizon - cycle
-        horizon = self.resilience.next_event(self)
-        if cycle + s > horizon:
-            s = horizon - cycle
-        return s if s > 1 else 1
-
-    def _apply_script(self, warp: Warp, pf, j: int, s: int, cycle: int,
-                      pc: int) -> None:
-        """Bulk-apply ``s`` prefetched records as if issued on cycles
-        ``cycle .. cycle+s-1`` and mark the warp's scheduler scripted
-        through the window (the issue prolog already counted record
-        ``j`` and woke the warp)."""
-        records = self.plan.records
-        stats = self.stats
-        ctx = warp.ctx
-        i = warp._pf_i
-        outs = pf.outs
-        masks = pf.masks
-        pending = warp.pending
-        pc0 = pf.pc0
-        count = stats.count_issue
-        for u in range(s):
-            rec = records[pc0 + j + u]
-            if u:
-                count(rec.fu, rec.shadow, rec.ckpt)
-            out = outs[j + u]
-            if out is not None:
-                if rec.dst_is_pred:
-                    ctx.preds[rec.dst_index][...] = out[i]
-                else:
-                    ctx.regs[rec.dst_index][...] = out[i]
-            if rec.track_reg_write:
-                warp.last_write = rec.dst
-                warp.last_write_pc = pc + u
-                warp.last_write_mask = masks[j + u][i]
-            elif rec.track_pred_write:
-                warp.last_pred_write = rec.dst
-                warp.last_pred_write_pc = pc + u
-                warp.last_pred_write_mask = masks[j + u][i]
-            if rec.dst is not None:
-                pending[rec.dst] = cycle + u + rec.latency
-        warp.insts_since_boundary += s - 1
-        stats.superblock_insts += s
-        end = j + s
-        if end < pf.n:
-            warp._pf_j = end
-        else:
-            warp._pf = None
-        warp.scheduler.script_until = cycle + s - 1
-        # The issue prolog's wake() already bumped the version; the
-        # final scripted issue leaves the warp wakeable at cycle+s.
-        warp.wakeup_cycle = cycle + s
-        warp.stack[-1].pc = pc + s
-        warp._maybe_reconverge()
-        self._after_pc_change(warp, cycle + s - 1)
-
-    def _run_script_direct(self, warp: Warp, info, s: int, cycle: int,
-                           pc: int) -> None:
-        """Scripted window for a warp with no co-resident peers at its
-        PC: execute records ``pc .. pc+s-1`` in order on the warp's own
-        context as if issued on cycles ``cycle .. cycle+s-1``.
-
-        Identical to the reference per-record semantics — same guard
-        evaluation order, same in-place writes — except the values land
-        within one issue slot; the window is event-free by the same
-        ``_script_len`` caps as prefetched scripts, so nothing can
-        observe the intermediate cycles.  The block's active mask is
-        loop-invariant (no control flow, no exits inside a superblock).
-        """
-        records = self.plan.records
-        stats = self.stats
-        ctx = warp.ctx
-        active = warp.stack[-1].mask & warp._not_exited
-        pending = warp.pending
-        count = stats.count_issue
-        mem = self.global_mem
-        shared = warp.block.shared
-        for u in range(s):
-            rec = records[pc + u]
-            if u:
-                count(rec.fu, rec.shadow, rec.ckpt)
-            mask = rec.guard(ctx, active)
-            rec.run(ctx, mask, mem, shared)
-            if rec.track_reg_write:
-                warp.last_write = rec.dst
-                warp.last_write_pc = pc + u
-                warp.last_write_mask = mask
-            elif rec.track_pred_write:
-                warp.last_pred_write = rec.dst
-                warp.last_pred_write_pc = pc + u
-                warp.last_pred_write_mask = (rec.guard(ctx, active)
-                                             if rec.guard_recheck else mask)
-            if rec.dst is not None:
-                pending[rec.dst] = cycle + u + rec.latency
-        warp.insts_since_boundary += s - 1
-        stats.superblocks_executed += 1
-        stats.superblock_insts += s
-        warp.scheduler.script_until = cycle + s - 1
-        warp.wakeup_cycle = cycle + s
-        warp.stack[-1].pc = pc + s
-        warp._maybe_reconverge()
-        self._after_pc_change(warp, cycle + s - 1)
 
     def _issue(self, warp: Warp, cycle: int) -> None:
         if warp.finished:
@@ -1459,62 +863,14 @@ class Sm:
             occupancy = max(1, lanes // 2)
             self.stats.atomic_ops += lanes
         elif timing == T_SHARED:
-            addrs = access.addresses
-            sigs = self._mem_sigs
-            stride = (sigs.get(warp.stack[-1].pc)
-                      if sigs is not None else None)
-            n = addrs.shape[0]
-            if (stride is not None and stride != 0 and n == 32
-                    and config.warp_size == 32
-                    and int(addrs[-1]) - int(addrs[0]) == stride * 31):
-                # Endpoint-verified full-warp affine sweep: lane i hits
-                # bank (a0 + stride*i) & 31, so each touched bank is
-                # hit by exactly gcd(|stride|, 32) distinct addresses.
-                degree = gcd(stride if stride > 0 else -stride, 32)
-            else:
-                degree = _bank_degree(addrs)
+            degree = _bank_degree(access.addresses)
             latency = config.shared_latency + (degree - 1)
             occupancy = degree
             self.stats.shared_accesses += 1
             self.stats.shared_bank_conflicts += degree - 1
         else:
             line_words = config.l1.line_words
-            addrs = access.addresses
-            sigs = self._mem_sigs
-            stride = (sigs.get(warp.stack[-1].pc)
-                      if sigs is not None else None)
-            n = addrs.shape[0]
-            segments = None
-            if stride is not None and stride != 0 and n > 1:
-                first = int(addrs[0])
-                last = int(addrs[-1])
-                if stride == 1:
-                    # Contiguity check via endpoints alone: the span
-                    # equals the count, and a line-sized hole would
-                    # need a gap wider than the whole span allows.
-                    if (last - first == n - 1
-                            and n <= line_words + 1):
-                        segments = np.arange(
-                            first // line_words,
-                            last // line_words + 1, dtype=np.int64)
-                elif stride == -1:
-                    if (first - last == n - 1
-                            and n <= line_words + 1):
-                        segments = np.arange(
-                            last // line_words,
-                            first // line_words + 1, dtype=np.int64)
-                elif ((stride >= line_words
-                       or -stride >= line_words)
-                      and n == config.warp_size
-                      and last - first == stride * (n - 1)):
-                    # Verified full-warp sweep with one line (at
-                    # least) per lane step: line indices are
-                    # strictly monotonic, so they are already the
-                    # deduplicated ascending/descending segment set.
-                    lines = addrs // line_words
-                    segments = lines if stride > 0 else lines[::-1]
-            if segments is None:
-                segments = _coalesce_segments(addrs, line_words)
+            segments = _coalesce_segments(access.addresses, line_words)
             occupancy = len(segments)
             latency = 0
             is_store = access.is_store
@@ -1601,23 +957,6 @@ class Sm:
         ``Gpu._fast_forward`` makes indistinguishable from a fresh
         computation.
         """
-        segs = self._win_segs
-        if segs is not None:
-            # Scripted window active: the next issue cycle is the next
-            # dense segment's start (windows always end on an issue
-            # cycle, so a dense segment always follows a gap).
-            i = self._win_i
-            n = len(segs)
-            while i < n and segs[i][1] < cycle:
-                i += 1
-            self._win_i = i
-            if i < n:
-                if segs[i][2] is None:
-                    return max(cycle, segs[i][0])
-                if i + 1 < n:
-                    return segs[i + 1][0]
-            self._win_segs = None
-            self._win_i = 0
         best = self.resilience.next_event(self)
         plan = self.plan
         if plan is None:

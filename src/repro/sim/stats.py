@@ -29,16 +29,6 @@ STALL_CAUSES = (
 #: launch-shape policy numbers describe the kernel, not one SM.
 _MERGE_MAX = ("cycles", "occupancy_warps", "regs_per_thread")
 
-#: Dict-valued counters deep-merged key-wise.
-_MERGE_DICT = ("stall_cycles", "warp_stalls", "superblock_fallbacks")
-
-#: Counters that exist only on the batched fast path (the reference
-#: interpreter has no superblocks, so A/B equivalence checks compare
-#: stats dictionaries with these keys removed).
-SUPERBLOCK_TELEMETRY = ("superblocks_executed", "superblock_insts",
-                        "superblock_fallbacks", "mem_windows_executed",
-                        "mem_window_insts")
-
 
 @dataclass
 class SimStats:
@@ -83,20 +73,10 @@ class SimStats:
     partial_unprotected_regions: int = 0
     abft_checks: int = 0
     abft_corrections: int = 0
-    # Superblock batching (fast path only; the reference interpreter
-    # never batches, so A/B comparisons strip these — see
-    # ``SUPERBLOCK_TELEMETRY``).
-    superblocks_executed: int = 0
+    # Always zero / empty; kept only because ``perfbench/benchlib/
+    # spans.py`` (``_describe_launch``) reads them on traced launches.
     superblock_insts: int = 0
-    #: Reason -> count of batching opportunities that fell back to
-    #: per-warp dispatch (keys: "invalidated", "no_peer", "tracer",
-    #: "liveness", "sanitizer", "scheduler", and the memory-window
-    #: disable reasons "resilience" / "multi_sm" / "window_stopper").
     superblock_fallbacks: dict = field(default_factory=dict)
-    # Memory-aware scripted windows (fast path, GTO + null-resilience
-    # launches only; stripped by A/B comparisons like the superblock
-    # counters above).
-    mem_windows_executed: int = 0
     mem_window_insts: int = 0
     # Launch shape.
     blocks_launched: int = 0
@@ -161,10 +141,10 @@ class SimStats:
             value = getattr(self, f.name)
             if f.name == "by_fu":
                 value = {fu.value: n for fu, n in value.items()}
-            elif f.name in ("stall_cycles", "superblock_fallbacks"):
-                value = dict(value)
             elif f.name == "warp_stalls":
                 value = {wid: dict(ledger) for wid, ledger in value.items()}
+            elif f.name in _MERGE_DICT:
+                value = dict(value)
             data[f.name] = value
         data["avg_region_size"] = self.avg_region_size
         data["ipc"] = self.ipc
@@ -177,12 +157,17 @@ class SimStats:
             value = getattr(self, f.name)
             if f.name == "by_fu":
                 value = Counter(value)
-            elif f.name in ("stall_cycles", "superblock_fallbacks"):
-                value = dict(value)
             elif f.name == "warp_stalls":
                 value = {wid: dict(ledger) for wid, ledger in value.items()}
+            elif f.name in _MERGE_DICT:
+                value = dict(value)
             setattr(dup, f.name, value)
         return dup
+
+
+#: Dict-valued counters, deep-merged key-wise.
+_MERGE_DICT = tuple(f.name for f in fields(SimStats)
+                    if f.default_factory is dict)
 
 
 def _merge_dict(into: dict, other: dict) -> None:

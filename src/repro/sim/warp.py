@@ -64,10 +64,6 @@ class WarpSnapshot:
         warp.exited = self.exited.copy()
         warp.stack[-1].pc = self.pc
         warp.barrier_count = self.barrier_count
-        # Every rollback path (flame recovery, DMR/partial compare
-        # rollback, ABFT correction) funnels through here: the warp's
-        # precomputed superblock values no longer describe its future.
-        warp._pf = None
 
     # -- checkpoint support (plain-data round trip) --------------------
     def to_state(self) -> tuple:
@@ -129,13 +125,6 @@ class Warp:
         self.ready_cache = 0                # cached earliest ready cycle
         self.ready_timed = False            # cached "next inst uses the LSU"
         self.scheduler = None               # set when attached to an SM
-        # Superblock value prefetch (repro.sim.superblock): the shared
-        # side buffer of precomputed block outputs, this warp's row in
-        # it, and the next record offset to consume.  Derived state —
-        # dropped on any rollback/restore, never checkpointed.
-        self._pf = None
-        self._pf_i = 0
-        self._pf_j = 0
         self.insts_since_boundary = 0       # dynamic region-size accounting
         self.barrier_count = 0              # monotonic barrier generation
         self.last_write: Reg | None = None  # injection target (in-flight dst)
@@ -419,7 +408,6 @@ class Warp:
         # Invalidate the readiness memo: it embeds pre-restore state.
         self.version += 1
         self.ready_version = -1
-        self._pf = None
 
     def state_equals(self, data: dict, include_regs: bool = True) -> bool:
         """Exact equality against a :meth:`capture_state` snapshot,

@@ -19,7 +19,6 @@ from repro.core.injection import FaultInjector
 from repro.core.runtime import FlameRuntime
 from repro.sim import (CheckpointRecorder, Gpu, LaunchConfig,
                        NULL_RESILIENCE, SCHEDULERS, Sanitizer)
-from repro.sim.stats import SUPERBLOCK_TELEMETRY
 from repro.workloads import workload_by_name
 
 WCDL = 20
@@ -28,9 +27,7 @@ WCDL = 20
 def _launcher(scheme_name: str, scheduler: str, workload: str = "SGEMM",
               sanitize: bool = True):
     """A launch closure over a compiled workload, mirroring the
-    campaign layer's golden-run setup (sanitizer attached by default;
-    the per-cycle sanitizer inhibits superblock scripting, so tests
-    targeting scripted windows opt out)."""
+    campaign layer's golden-run setup (sanitizer attached by default)."""
     instance = workload_by_name(workload).instance("tiny")
     scheme = scheme_by_name(scheme_name)
     compiled = compile_kernel(instance.kernel, scheme, wcdl=WCDL)
@@ -62,15 +59,7 @@ def _assert_identical(restored, reference):
     result_b, mem_b = reference
     assert result_a.cycles == result_b.cycles
     assert np.array_equal(mem_a, mem_b)
-    # Superblock batching telemetry depends on which observers are
-    # attached (a recorder's liveness tracking disables batching), so
-    # it legitimately differs between the checkpointed and plain runs;
-    # every architectural counter must still match exactly.
-    stats_a = {k: v for k, v in result_a.stats.as_dict().items()
-               if k not in SUPERBLOCK_TELEMETRY}
-    stats_b = {k: v for k, v in result_b.stats.as_dict().items()
-               if k not in SUPERBLOCK_TELEMETRY}
-    assert stats_a == stats_b
+    assert result_a.stats.as_dict() == result_b.stats.as_dict()
 
 
 @pytest.mark.parametrize("scheduler", sorted(SCHEDULERS))
@@ -119,96 +108,32 @@ def test_strike_mid_rollback_roundtrip(scheme, scheduler):
             assert restored == original
 
 
+def _restore_at(launch_once, interval: int, cycle: int) -> None:
+    """Record checkpoints every ``interval`` cycles, then resume from
+    the one captured at ``cycle``; both runs must match a plain one."""
+    reference = launch_once()
+    recorder = CheckpointRecorder(interval=interval)
+    _assert_identical(launch_once(recorder=recorder), reference)
+    (checkpoint,) = [c for c in recorder.checkpoints if c.cycle == cycle]
+    _assert_identical(launch_once(resume_from=checkpoint), reference)
+
+
 def test_restore_inside_superblock_window():
-    """Resume from a checkpoint whose cycle falls strictly inside a
-    scripted superblock window of the plain fast run.
-
-    The recorded run visits that cycle one instruction at a time (an
-    attached recorder disables batching), but the *resumed* run batches
-    again from the restored state — a warp whose PC sits mid-superblock
-    must re-enter scripting and still finish byte-identically.
-
-    SM-level memory windows subsume superblock scripts on this launch
-    shape, so they are pinned off for the whole test to keep the
-    superblock path under test (the window variant is
-    ``test_restore_inside_memory_window``).
-    """
-    from repro.sim.sm import Sm
-
-    launch_once = _launcher("baseline", "GTO", sanitize=False)
-    spans = []
-    orig_direct, orig_apply = Sm._run_script_direct, Sm._apply_script
-    orig_open = Sm._open_window
-
-    def direct(self, warp, info, s, cycle, pc):
-        spans.append((cycle, cycle + s - 1))
-        return orig_direct(self, warp, info, s, cycle, pc)
-
-    def apply(self, warp, pf, j, s, cycle, pc):
-        spans.append((cycle, cycle + s - 1))
-        return orig_apply(self, warp, pf, j, s, cycle, pc)
-
-    Sm._run_script_direct, Sm._apply_script = direct, apply
-    Sm._open_window = lambda self, cycle: False
-    try:
-        reference = launch_once()
-
-        wide = [s for s in spans if s[1] > s[0]]
-        assert wide, "workload never executed a multi-cycle superblock"
-        first, last = max(wide, key=lambda span: span[1] - span[0])
-        inside = (first + last) // 2 or first + 1
-        recorder = CheckpointRecorder(interval=max(inside, 1))
-        _assert_identical(launch_once(recorder=recorder), reference)
-        candidates = [c for c in recorder.checkpoints
-                      if any(a < c.cycle <= b for a, b in wide)]
-        assert candidates, "no checkpoint landed inside a scripted window"
-        _assert_identical(launch_once(resume_from=candidates[0]),
-                          reference)
-    finally:
-        Sm._run_script_direct, Sm._apply_script = orig_direct, orig_apply
-        Sm._open_window = orig_open
+    """Resume SGEMM at cycle 2, inside the widest span (cycles 0-4)
+    that the since-deleted superblock scripts covered when the memory
+    windows were off: warps restored mid straight-line code."""
+    _restore_at(_launcher("baseline", "GTO", sanitize=False),
+                interval=2, cycle=2)
 
 
 def test_restore_inside_memory_window():
-    """Capture and restore at a cycle the plain fast run covers with one
-    SM-level memory window (LBM under GTO + baseline runs almost
-    entirely inside them).
-
-    The recorded run's recorder horizon stops every window exactly at
-    the capture cycle, so the checkpoint sees a cycle-accurate machine;
-    the resumed run re-opens windows from the restored mid-stream state
-    (warps mid-superblock, cache arrays repopulated from the snapshot)
-    and must still finish byte-identically.
-    """
-    from repro.sim.sm import Sm
-
-    launch_once = _launcher("baseline", "GTO", workload="LBM",
-                            sanitize=False)
-    spans = []
-    orig_open = Sm._open_window
-
-    def open_window(self, cycle):
-        opened = orig_open(self, cycle)
-        if opened:
-            spans.append((self._win_segs[0][0], self._win_segs[-1][1]))
-        return opened
-
-    Sm._open_window = open_window
-    try:
-        reference = launch_once()
-    finally:
-        Sm._open_window = orig_open
-
-    wide = [s for s in spans if s[1] > s[0]]
-    assert wide, "workload never executed a multi-cycle memory window"
-    first, last = max(wide, key=lambda span: span[1] - span[0])
-    inside = (first + last) // 2 or first + 1
-    recorder = CheckpointRecorder(interval=max(inside, 1))
-    _assert_identical(launch_once(recorder=recorder), reference)
-    candidates = [c for c in recorder.checkpoints
-                  if any(a < c.cycle <= b for a, b in wide)]
-    assert candidates, "no checkpoint landed inside a memory window"
-    _assert_identical(launch_once(resume_from=candidates[0]), reference)
+    """Resume LBM at cycle 425, inside the widest span (cycles 0-567)
+    that the since-deleted memory windows covered, with checkpoints
+    spaced at half that span: warps restored mid-stream, with the cache
+    state repopulated from the snapshot."""
+    _restore_at(_launcher("baseline", "GTO", workload="LBM",
+                          sanitize=False),
+                interval=283, cycle=425)
 
 
 def test_checkpoint_is_reusable():

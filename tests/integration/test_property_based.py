@@ -7,7 +7,10 @@ Random structured kernels are generated through the builder, then:
 * every resilience scheme must agree with the uncompiled kernel
   (compiler correctness), and
 * Flame under fault injection must agree bit-exactly with a fault-free
-  run (recovery correctness).
+  run (recovery correctness), and
+* the planned fast path must agree with the reference interpreter
+  (``fast=False``) on cycles, every stat and final memory, under every
+  scheduler with and without Flame (execution-tier equivalence).
 """
 
 import numpy as np
@@ -15,9 +18,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.compiler import compile_kernel, prepare_launch
-from repro.core import FaultInjector, FlameRuntime
+from repro.core import FaultInjector, FlameRuntime, runtime_scheme_by_name
 from repro.isa import CmpOp, KernelBuilder, Op
-from repro.sim import Gpu, LaunchConfig, run_kernel
+from repro.sim import SCHEDULERS, Gpu, LaunchConfig, run_kernel
 from repro.arch import GTX480
 from tests.conftest import interpret_kernel
 
@@ -164,6 +167,40 @@ class TestRecoveryIsExact:
         faulty = launch_once(injector)
         assert np.allclose(faulty, golden, equal_nan=True)
 
+
+
+class TestFastPathMatchesReference:
+    """Differential oracle over generated programs: 4 schedulers x
+    {baseline, flame}, planned fast path against the reference
+    interpreter."""
+
+    @staticmethod
+    def _run(compiled, rscheme, scheduler: str, fast: bool):
+        gpu = Gpu(GTX480, resilience=rscheme.build(wcdl=20),
+                  scheduler=scheduler, fast=fast)
+        params, mem = prepare_launch(compiled, LAUNCH.params, fresh_memory(),
+                                     LAUNCH.num_blocks,
+                                     LAUNCH.threads_per_block)
+        launch = LaunchConfig(grid=LAUNCH.grid, block=LAUNCH.block,
+                              params=params)
+        result = gpu.launch(compiled.kernel, launch, mem,
+                            regs_per_thread=compiled.regs_per_thread)
+        return result.cycles, result.stats.as_dict(), mem.tobytes()
+
+    @relaxed
+    @given(random_kernel())
+    def test_fast_equals_reference(self, kernel):
+        for scheme in ("baseline", "flame"):
+            rscheme = runtime_scheme_by_name(scheme)
+            compiled = compile_kernel(kernel, rscheme.compile_scheme,
+                                      wcdl=20)
+            for scheduler in sorted(SCHEDULERS):
+                fast = self._run(compiled, rscheme, scheduler, True)
+                ref = self._run(compiled, rscheme, scheduler, False)
+                where = f"{scheme} under {scheduler}"
+                assert fast[0] == ref[0], f"cycles diverge: {where}"
+                assert fast[1] == ref[1], f"stats diverge: {where}"
+                assert fast[2] == ref[2], f"memory diverges: {where}"
 
 def guarded_war_kernel():
     """A guarded register write under a guard computed in the same region.

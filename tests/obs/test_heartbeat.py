@@ -193,20 +193,22 @@ class TestRegistryBridge:
 
 
 class TestSuperblockTelemetry:
+    """Simulator counters in the heartbeat record: summed across trials,
+    and present (zero or empty) when no trial reported them."""
+
     def test_batching_counters_aggregate(self, tmp_path):
         path = tmp_path / "metrics.jsonl"
         hb = CampaignHeartbeat(str(path), total_trials=3, interval=60.0)
         hb.start()
-        hb.note_trial(FakeResult(superblocks_executed=10,
-                                 superblock_fallbacks={"divergence": 2}))
-        hb.note_trial(FakeResult(superblocks_executed=5,
-                                 superblock_fallbacks={"divergence": 1,
-                                                       "injector": 4}))
+        hb.note_trial(FakeResult(instructions=10,
+                                 stall_cycles={"barrier": 2}))
+        hb.note_trial(FakeResult(instructions=5,
+                                 stall_cycles={"barrier": 1,
+                                               "rollback": 4}))
         hb.stop()
         last = _records(path)[-1]
-        assert last["superblocks_executed"] == 15
-        assert last["superblock_fallbacks"] == {"divergence": 3,
-                                                "injector": 4}
+        assert last["instructions"] == 15
+        assert last["stall_cycles"] == {"barrier": 3, "rollback": 4}
 
     def test_schema_tolerates_results_without_counters(self, tmp_path):
         # A hung or crashed trial returns before copying any counter.
@@ -216,8 +218,8 @@ class TestSuperblockTelemetry:
         hb.note_trial(FakeResult(outcome="due_hang", cycles=100))
         hb.stop()
         last = _records(path)[-1]
-        assert last["superblocks_executed"] == 0
-        assert last["superblock_fallbacks"] == {}
+        assert last["instructions"] == 0
+        assert last["stall_cycles"] == {}
 
 
 class TestShardTelemetry:

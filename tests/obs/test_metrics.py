@@ -177,10 +177,6 @@ FAKE_COUNTERS = {
     "stall_cycles": {"rollback": 7, "barrier": 3},
     "l1_hits": 5,
     "l1_misses": 1,
-    "superblocks_executed": 4,
-    "superblock_fallbacks": {"divergence": 2},
-    "mem_windows_executed": 3,
-    "mem_window_insts": 30,
 }
 
 

@@ -1,174 +1,17 @@
-"""Plan-time memory signatures (``analyze_mem_strides``): the abstract
-interpretation must prove per-lane address strides exactly where they
-hold for every lane pattern, and stay silent wherever divergence, lane
-mixing, or launch geometry could break affinity."""
+"""Strided memory access patterns: the fast path's coalescing and
+bank-degree shortcuts (``sm._coalesce_segments``, ``sm._bank_degree``)
+must time every lane pattern exactly as the reference interpreter's
+``np.unique``-based model does."""
 
 import numpy as np
 
-from repro.arch import GTX480
-from repro.isa import CmpOp, KernelBuilder, Special
+from repro.isa import CmpOp, KernelBuilder
 from repro.sim import LaunchConfig, run_kernel
-from repro.sim.plan import analyze_mem_strides, get_plan
-
-WARP = GTX480.warp_size
-
-
-def strides_of(kernel, block_x=64):
-    """{timed-mem ordinal: stride} for ``kernel`` at ``block_x``."""
-    records = get_plan(kernel, GTX480).records
-    sigs = analyze_mem_strides(records, WARP, block_x)
-    timed = [pc for pc, rec in enumerate(records) if rec.is_timed_mem]
-    return {timed.index(pc): s for pc, s in sigs.items()}
-
-
-class TestAffineSeeds:
-    def test_unit_stride_global_index(self):
-        b = KernelBuilder("unit", num_params=1)
-        (ptr,) = b.params(1)
-        b.st_global(b.add(ptr, b.global_index()), 1.0)
-        assert strides_of(b.build()) == {0: 1}
-
-    def test_uniform_address(self):
-        b = KernelBuilder("uni", num_params=1)
-        (ptr,) = b.params(1)
-        b.st_global(b.mov(ptr), 1.0)
-        assert strides_of(b.build()) == {0: 0}
-
-    def test_scaled_strides(self):
-        b = KernelBuilder("scaled", num_params=1)
-        (ptr,) = b.params(1)
-        i = b.tid_x()
-        b.st_global(b.add(ptr, b.mul(i, 4.0)), 1.0)     # mul by imm
-        b.st_global(b.add(ptr, b.shl(i, 3.0)), 2.0)     # shl by imm
-        b.st_global(b.mad(i, -2.0, ptr), 3.0)           # mad, negative
-        assert strides_of(b.build()) == {0: 4, 1: 8, 2: -2}
-
-    def test_block_x_gates_tid_affinity(self):
-        # tid.x wraps inside a warp when block_x is not a warp multiple,
-        # so the same kernel proves nothing at block_x=16.
-        b = KernelBuilder("gate", num_params=1)
-        (ptr,) = b.params(1)
-        b.st_global(b.add(ptr, b.tid_x()), 1.0)
-        kernel = b.build()
-        assert strides_of(kernel, block_x=64) == {0: 1}
-        assert strides_of(kernel, block_x=16) == {}
-
-    def test_loaded_data_is_irregular_unless_uniform(self):
-        b = KernelBuilder("gather", num_params=2)
-        idx_ptr, out = b.params(2)
-        idx = b.ld_global(b.add(idx_ptr, b.tid_x()))   # per-lane data
-        b.st_global(idx, 1.0)                          # gather: no fact
-        base = b.ld_global(b.mov(idx_ptr))             # uniform load
-        b.st_global(b.add(base, Special.LANEID), 2.0)  # uniform + lane
-        # Ordinal 1 (the gather) proves nothing; the loads' own
-        # addresses are stride 1 / 0 and the broadcast data is uniform.
-        assert strides_of(b.build()) == {0: 1, 2: 0, 3: 1}
-
-
-class TestDivergence:
-    def test_load_inside_divergent_region_keeps_stride(self):
-        # The guard-tail pattern every bounds-checked workload uses: the
-        # address is computed *inside* the region that reads it.
-        b = KernelBuilder("tail", num_params=2)
-        n, ptr = b.params(2)
-        i = b.global_index()
-        with b.if_(b.setp(CmpOp.LT, i, n)):
-            b.st_global(b.add(ptr, i), 1.0)
-        assert strides_of(b.build()) == {0: 1}
-
-    def test_region_write_dies_at_reconvergence(self):
-        # A register written under divergence is a lane blend once the
-        # inactive lanes rejoin: the post-region store proves nothing,
-        # while an address unrelated to the region is unaffected.
-        b = KernelBuilder("blend", num_params=2)
-        n, ptr = b.params(2)
-        i = b.global_index()
-        addr = b.add(ptr, i)
-        with b.if_(b.setp(CmpOp.LT, i, n)):
-            b.add(addr, 64.0, dst=addr)
-        b.st_global(addr, 1.0)                  # blended: no fact
-        b.st_global(b.add(ptr, i), 2.0)         # untouched: stride 1
-        assert strides_of(b.build()) == {1: 1}
-
-    def test_divergent_guarded_write_degrades(self):
-        b = KernelBuilder("guarded", num_params=2)
-        n, ptr = b.params(2)
-        i = b.global_index()
-        addr = b.add(ptr, i)
-        b.mov(ptr, dst=addr, guard=b.setp(CmpOp.LT, i, n))
-        b.st_global(addr, 1.0)
-        assert strides_of(b.build()) == {}
-
-    def test_uniform_guarded_write_joins(self):
-        # An all-or-nothing (uniform-guard) write: old and new facts
-        # share stride 1, so the stride survives the maybe-write.
-        b = KernelBuilder("unig", num_params=2)
-        n, ptr = b.params(2)
-        i = b.tid_x()
-        addr = b.add(ptr, i)
-        p = b.setp(CmpOp.LT, Special.CTAID_X, n)  # warp-uniform
-        b.add(addr, 32.0, dst=addr, guard=p)
-        b.st_global(addr, 1.0)
-        assert strides_of(b.build()) == {0: 1}
-
-    def test_divergent_while_loop(self):
-        # while_ lowers to a divergent forward branch bracketing the
-        # body plus a *uniform* backedge, so the region rules apply:
-        # in-loop facts survive (every active lane shares the iteration
-        # count), loop-written registers die at reconvergence, and
-        # untouched uniforms pass through.
-        b = KernelBuilder("divloop", num_params=2)
-        n, ptr = b.params(2)
-        i = b.global_index()
-        with b.while_(lambda: b.setp(CmpOp.LT, i, n)):
-            b.ld_global(b.add(ptr, i))       # in-region: stride 1
-            b.add(i, 32.0, dst=i)
-        b.st_global(b.add(ptr, i), 1.0)      # post-reconv blend: no fact
-        b.st_global(b.mov(ptr), 2.0)         # uniform: stride 0
-        assert strides_of(b.build()) == {0: 1, 2: 0}
-
-    def test_divergent_backward_branch_bails(self):
-        # A *guarded* backward branch (do-while shape) has no
-        # reconvergence bracketing: the analysis gives up wholesale.
-        b = KernelBuilder("dowhile", num_params=2)
-        n, ptr = b.params(2)
-        i = b.global_index()
-        head = b.fresh_label("HEAD")
-        b.label(head)
-        b.add(i, 1.0, dst=i)
-        b.bra(head, guard=b.setp(CmpOp.LT, i, n))
-        b.st_global(b.mov(ptr), 1.0)
-        assert strides_of(b.build()) == {}
-
-
-class TestLoops:
-    def test_uniform_loop_preserves_stride(self):
-        # base + k*step with a uniform counter: the loop-carried base
-        # degrades to unknown at the backedge meet but the lane stride
-        # survives, which is the LBM/SGEMM hot-loop pattern.
-        b = KernelBuilder("loop", num_params=2)
-        n, ptr = b.params(2)
-        addr = b.add(ptr, b.tid_x())
-        with b.loop(0.0, n):
-            b.ld_global(addr)
-            b.add(addr, 128.0, dst=addr)
-        assert strides_of(b.build()) == {0: 1}
-
-    def test_lane_carried_loop_increment_degrades(self):
-        # The increment itself has stride 1, so the carried stride grows
-        # every iteration: the backedge meet must drop the fact.
-        b = KernelBuilder("grow", num_params=2)
-        n, ptr = b.params(2)
-        addr = b.add(ptr, b.tid_x())
-        with b.loop(0.0, n):
-            b.ld_global(addr)
-            b.add(addr, Special.LANEID, dst=addr)
-        assert strides_of(b.build()) == {}
 
 
 class TestClosedFormTiming:
-    """The end-to-end guarantee: signature-driven closed forms replace
-    per-access coalescing without moving a single counter or byte."""
+    """Fast vs reference timing on strided sweeps: same cycles, memory
+    transactions, bank conflicts and bytes."""
 
     def _identical(self, kernel, launch, mem):
         fast, ref = mem.copy(), mem.copy()
@@ -180,9 +23,8 @@ class TestClosedFormTiming:
         assert fast.tobytes() == ref.tobytes()
 
     def test_strided_sweep_matrix(self):
-        # One kernel per stride covering every closed form: contiguous
-        # (±1), full-warp line-stride sweeps, and a conflict-prone
-        # shared-memory column walk.
+        # Contiguous (±1), full-warp line-stride sweeps (±32, 64) and
+        # small strides that share lines (2, 8).
         for stride in (1, -1, 32, 64, -32, 2, 8):
             b = KernelBuilder(f"sweep_{stride}", num_params=1)
             (ptr,) = b.params(1)
@@ -209,9 +51,8 @@ class TestClosedFormTiming:
             self._identical(kernel, launch, np.zeros(256))
 
     def test_guard_masked_subset_falls_back(self):
-        # A masked access is a lane *subset* of the affine vector; the
-        # endpoint checks must reject the non-contiguous survivors and
-        # fall back, keeping timing identical.
+        # A masked access is a non-contiguous lane subset of a
+        # unit-stride sweep: the contiguity shortcut must not apply.
         b = KernelBuilder("subset", num_params=1)
         (ptr,) = b.params(1)
         i = b.tid_x()

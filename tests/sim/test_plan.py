@@ -10,7 +10,6 @@ from repro.isa import (AtomOp, CmpOp, Imm, Instruction, KernelBuilder, Op,
 from repro.sim import LaunchConfig, run_kernel
 from repro.sim.plan import (ExecPlan, K_BAR, K_BRA, K_EXIT, K_VALUE,
                             PLAN_CACHE_SIZE, _imm_vector, get_plan)
-from repro.sim.stats import SUPERBLOCK_TELEMETRY
 
 
 def both_paths(kernel, launch, mem, **kwargs):
@@ -21,13 +20,7 @@ def both_paths(kernel, launch, mem, **kwargs):
     fast = run_kernel(kernel, launch, fast_mem, fast=True, **kwargs)
     ref = run_kernel(kernel, launch, ref_mem, fast=False, **kwargs)
     assert fast.cycles == ref.cycles
-    # Superblock counters are fast-path bookkeeping — the reference
-    # interpreter never batches, so they are excluded from the A/B check.
-    fast_stats = {k: v for k, v in fast.stats.as_dict().items()
-                  if k not in SUPERBLOCK_TELEMETRY}
-    ref_stats = {k: v for k, v in ref.stats.as_dict().items()
-                 if k not in SUPERBLOCK_TELEMETRY}
-    assert fast_stats == ref_stats
+    assert fast.stats.as_dict() == ref.stats.as_dict()
     assert fast_mem.tobytes() == ref_mem.tobytes()
     return fast
 

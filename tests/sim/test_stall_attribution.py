@@ -111,16 +111,7 @@ def test_traced_run_is_cycle_identical():
     traced, mem_b, _ = run_compiled(instance, "flame", tracer=tracer)
     assert plain.cycles == traced.cycles
     assert np.array_equal(mem_a, mem_b)
-    # A tracer disables superblock batching (per-issue events), so only
-    # the batching telemetry may differ; every architectural counter
-    # must be identical.
-    from repro.sim.stats import SUPERBLOCK_TELEMETRY
-
-    plain_stats = {k: v for k, v in plain.stats.as_dict().items()
-                   if k not in SUPERBLOCK_TELEMETRY}
-    traced_stats = {k: v for k, v in traced.stats.as_dict().items()
-                    if k not in SUPERBLOCK_TELEMETRY}
-    assert plain_stats == traced_stats
+    assert plain.stats.as_dict() == traced.stats.as_dict()
     assert tracer.emitted > 0
     names = {evt.name for evt in tracer.events}
     assert {"issue", "block_dispatch", "block_retire"} <= names
