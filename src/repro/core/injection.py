@@ -37,7 +37,6 @@ negative tests assert).
 from __future__ import annotations
 
 import dataclasses
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -107,6 +106,73 @@ def fault_site_by_name(name: str) -> FaultSite:
             f"unknown fault site {name!r} (known: {known})") from None
 
 
+def address_defs(kernel) -> frozenset[int]:
+    """Definition sites whose values (transitively) become memory
+    addresses.
+
+    The paper assumes hardened address-generation units and register
+    file controllers (Section IV, Discussion), so strikes never
+    produce misaddressed loads or stores; we honour that by keeping
+    every address-feeding definition out of the victim pool.  The
+    analysis is def-site precise (via reaching definitions), so
+    register reuse after allocation does not over-exclude values.
+
+    The set is cached on the kernel object the way execution plans
+    are, so every trial of a campaign cell (each with its own
+    injector) shares one analysis.  The entry is keyed by the
+    identities of the kernel's instructions plus its labels and holds
+    strong references to those instructions, keeping their ids
+    stable: editing the kernel in place recomputes the set.
+    """
+    cached = kernel.__dict__.get("_address_defs")
+    ids = tuple(map(id, kernel.instructions))
+    labels = tuple(sorted(kernel.labels.items()))
+    if cached is not None and cached[0] == ids and cached[1] == labels:
+        return cached[3]
+    tainted = frozenset(_taint_address_defs(kernel))
+    kernel.__dict__["_address_defs"] = (ids, labels,
+                                        tuple(kernel.instructions), tainted)
+    return tainted
+
+
+def _taint_address_defs(kernel) -> set[int]:
+    """The uncached analysis behind :func:`address_defs`."""
+    from ..compiler.dataflow import ReachingDefs
+    from ..isa import Cfg, Reg
+
+    rdefs = ReachingDefs(Cfg(kernel))
+    tainted: set[int] = set()
+    work = []
+
+    def seed(use_index, var):
+        for d in rdefs.defs_reaching_use(use_index, var):
+            if d >= 0 and d not in tainted:
+                tainted.add(d)
+                work.append(d)
+
+    for u, inst in enumerate(kernel.instructions):
+        info = inst.info
+        is_mem = info.is_load or info.is_store or info.is_atomic
+        if is_mem and isinstance(inst.srcs[0], Reg):
+            seed(u, inst.srcs[0])
+        # Predicates steering branches or predicating memory ops
+        # bound addresses (e.g. `if i < n` before a load); a
+        # corrupted guard would misaddress, which the hardened
+        # front end rules out.
+        if inst.guard is not None and (info.is_branch or is_mem
+                                       or info.is_exit):
+            seed(u, inst.guard)
+    while work:
+        d = work.pop()
+        inst = kernel.instructions[d]
+        for src in (*inst.read_regs(), *inst.read_preds()):
+            for d2 in rdefs.defs_reaching_use(d, src):
+                if d2 >= 0 and d2 not in tainted:
+                    tainted.add(d2)
+                    work.append(d2)
+    return tainted
+
+
 class DestRegSite(FaultSite):
     """Corrupt the in-flight destination register of a resident warp."""
 
@@ -120,7 +186,7 @@ class DestRegSite(FaultSite):
                 continue
             if warp.last_write is None:
                 continue
-            if warp.last_write_pc in injector._address_defs(warp.kernel):
+            if warp.last_write_pc in address_defs(warp.kernel):
                 continue
             candidates.append(warp)
         if not candidates:
@@ -178,7 +244,7 @@ class PredicateSite(FaultSite):
                 continue
             # A corrupted guard of a branch/memory op would misaddress,
             # which the hardened front end rules out (Section IV).
-            if warp.last_pred_write_pc in injector._address_defs(warp.kernel):
+            if warp.last_pred_write_pc in address_defs(warp.kernel):
                 continue
             candidates.append(warp)
         if not candidates:
@@ -322,10 +388,6 @@ class FaultInjector:
             self.wcdl = self.sensor.wcdl
         self._site = fault_site_by_name(self.site)
         self._rng = np.random.default_rng(self.seed)
-        # Keyed by id(kernel) but validated against a weakref: ids are
-        # reused after garbage collection, and a recycled id must not
-        # serve another kernel's address-def set.
-        self._addr_cache: dict[int, tuple[weakref.ref, set[int]]] = {}
 
     # ------------------------------------------------------------------
     def tick(self, gpu: Gpu, cycle: int) -> None:
@@ -375,56 +437,6 @@ class FaultInjector:
         # architecturally relevant bits (false positives included).
         record.detect_cycle = cycle + delay
         self._pending_detect.append((record.detect_cycle, sm.id))
-
-    def _address_defs(self, kernel) -> set[int]:
-        """Definition sites whose values (transitively) become memory
-        addresses.
-
-        The paper assumes hardened address-generation units and register
-        file controllers (Section IV, Discussion), so strikes never
-        produce misaddressed loads or stores; we honour that by keeping
-        every address-feeding definition out of the victim pool.  The
-        analysis is def-site precise (via reaching definitions), so
-        register reuse after allocation does not over-exclude values.
-        """
-        cached = self._addr_cache.get(id(kernel))
-        if cached is not None and cached[0]() is kernel:
-            return cached[1]
-        from ..compiler.dataflow import ReachingDefs
-        from ..isa import Cfg, Reg
-
-        rdefs = ReachingDefs(Cfg(kernel))
-        tainted: set[int] = set()
-        work = []
-
-        def seed(use_index, var):
-            for d in rdefs.defs_reaching_use(use_index, var):
-                if d >= 0 and d not in tainted:
-                    tainted.add(d)
-                    work.append(d)
-
-        for u, inst in enumerate(kernel.instructions):
-            info = inst.info
-            is_mem = info.is_load or info.is_store or info.is_atomic
-            if is_mem and isinstance(inst.srcs[0], Reg):
-                seed(u, inst.srcs[0])
-            # Predicates steering branches or predicating memory ops
-            # bound addresses (e.g. `if i < n` before a load); a
-            # corrupted guard would misaddress, which the hardened
-            # front end rules out.
-            if inst.guard is not None and (info.is_branch or is_mem
-                                           or info.is_exit):
-                seed(u, inst.guard)
-        while work:
-            d = work.pop()
-            inst = kernel.instructions[d]
-            for src in (*inst.read_regs(), *inst.read_preds()):
-                for d2 in rdefs.defs_reaching_use(d, src):
-                    if d2 >= 0 and d2 not in tainted:
-                        tainted.add(d2)
-                        work.append(d2)
-        self._addr_cache[id(kernel)] = (weakref.ref(kernel), tainted)
-        return tainted
 
     def _detect(self, gpu: Gpu, sm_id: int, cycle: int) -> None:
         sm = next(s for s in gpu.sms if s.id == sm_id)

@@ -176,12 +176,23 @@ class Runner:
         cached = self._load(spec)
         if cached is not None:
             return cached
-        outcome = execute(spec)
         # A run's simulator state (SMs, warps, execution plans) sits
         # in reference cycles that only the cyclic collector frees; free
-        # it now, so back-to-back runs peak at one run's memory rather
-        # than whenever allocation churn next triggers the collector.
-        gc.collect()
+        # it when the run ends, so back-to-back runs peak at one run's
+        # memory rather than whenever allocation churn next triggers the
+        # collector.  Freezing what existed before the run first keeps
+        # that collection to the run's own objects instead of every
+        # import-time object; a caller that froze objects itself keeps
+        # its GC state.
+        freeze = gc.get_freeze_count() == 0
+        if freeze:
+            gc.freeze()
+        try:
+            outcome = execute(spec)
+        finally:
+            gc.collect()
+            if freeze:
+                gc.unfreeze()
         self._store(outcome)
         return outcome
 

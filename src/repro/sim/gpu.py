@@ -190,6 +190,12 @@ class Gpu:
                                                  all_blocks, global_mem)
         pending = all_blocks[dispatched:]
         pending.reverse()  # pop() dispatches in grid order
+        sms = self.sms
+        injector = self.fault_injector
+        # The injector ticks on the first loop cycle and afterwards only
+        # once the ``next_event`` it reported after its last tick is due:
+        # strikes and detections are scheduled only by its own ticks.
+        inject_at = cycle
         # FP exceptions are already value-handled per op (clamps, NaN
         # scrubbing); silencing them once around the whole loop spares
         # every ALU apply an errstate context switch.
@@ -207,7 +213,7 @@ class Gpu:
                     converged = True
                     break
                 # Dispatch blocks into free slots.
-                for sm in self.sms:
+                for sm in sms:
                     while pending and sm.resident_blocks < blocks_per_sm:
                         block = pending.pop()
                         dispatched += 1
@@ -219,12 +225,13 @@ class Gpu:
                 # error detected exactly WCDL cycles after a region end
                 # invalidates that region's verification (the tie goes to
                 # the detector).
-                if self.fault_injector is not None:
-                    self.fault_injector.tick(self, cycle)
+                if injector is not None and cycle >= inject_at:
+                    injector.tick(self, cycle)
+                    inject_at = injector.next_event(cycle)
                 if self.tracer is not None:
                     self.tracer.now = cycle
                 issued = 0
-                for sm in self.sms:
+                for sm in sms:
                     # Per-SM idle elision (fast path only, so the
                     # ``fast=False`` oracle keeps ticking every SM every
                     # cycle): an SM that classified a stall on its last
@@ -239,14 +246,18 @@ class Gpu:
                         continue
                     issued += sm.tick(cycle)
                 # Retire finished blocks (live-warp counters hit zero).
-                for sm in self.sms:
+                for sm in sms:
                     if sm._done_blocks:
                         for block in sm.take_done_blocks():
                             sm.remove_block(block, cycle)
                 if self.sanitizer is not None:
                     self.sanitizer.check(self, cycle)
-                if not pending and all(not sm.busy for sm in self.sms):
-                    break
+                if not pending:
+                    for sm in sms:
+                        if sm.blocks:
+                            break
+                    else:
+                        break  # every block ran to completion
                 if issued:
                     cycle += 1
                 else:
@@ -256,7 +267,7 @@ class Gpu:
                         # The elided cycles inherit the stall cause each
                         # busy SM recorded this cycle (nothing changes
                         # while no SM issues), keeping attribution exact.
-                        for sm in self.sms:
+                        for sm in sms:
                             sm.account_stall_skip(skipped)
                     cycle = nxt
                 if cycle > budget:

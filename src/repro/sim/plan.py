@@ -11,7 +11,9 @@ at ``Sm.configure`` time into a :class:`PlannedInst` dispatch record:
   predicate row, shared read-only immediate vector, specials entry);
 * an op-specific ``run`` closure with the exact value semantics of
   ``functional.execute`` (same NumPy expressions, same evaluation order,
-  same ``MemAccess`` results) so the fast path is byte-identical;
+  same ``MemAccess`` results) so the fast path is byte-identical; only
+  the memory closures differ in form: they move a full warp without its
+  mask and bounds-check in one reduction, raising the reference's error;
 * precomputed scoreboard operand tuples, functional-unit class, fixed
   latency, guard policy, branch target/reconvergence PC, and the flag
   set (``is_timed_mem``, shadow/ckpt, fault-surface tracking) that the
@@ -207,6 +209,15 @@ def _noop_run(ctx, mask, global_mem, shared_mem):
     return None
 
 
+def _check_bounds_fast(addrs: np.ndarray, mem: np.ndarray,
+                       inst: Instruction) -> None:
+    """``functional._check_bounds`` in one reduction: a negative
+    address reads as a huge unsigned one, so a single ``max`` catches
+    both ends; the reference check then raises with its exact text."""
+    if addrs.view(np.uint64).max() >= mem.size:
+        _check_bounds(addrs, mem, inst)
+
+
 def _build_run(inst: Instruction, warp_size: int):
     """The value-semantics closure for one K_VALUE record.
 
@@ -236,14 +247,17 @@ def _build_run(inst: Instruction, warp_size: int):
         def load(ctx, mask, global_mem, shared_mem):
             addrs = addr_fetch(ctx).astype(np.int64) + offset
             mem = global_mem if is_global else shared_mem
-            if mask.any():
-                lane_addrs = addrs[mask]
-                _check_bounds(lane_addrs, mem, inst)
-                values = np.zeros(ctx.warp_size)
-                values[mask] = mem[lane_addrs]
-                np.copyto(ctx.regs[dst_index], values, where=mask)
-                return MemAccess(space, lane_addrs, is_store=False)
-            return None
+            lanes = np.count_nonzero(mask)
+            if not lanes:
+                return None
+            if lanes == warp_size:
+                _check_bounds_fast(addrs, mem, inst)
+                ctx.regs[dst_index] = mem[addrs]
+                return MemAccess(space, addrs, is_store=False)
+            lane_addrs = addrs[mask]
+            _check_bounds_fast(lane_addrs, mem, inst)
+            ctx.regs[dst_index][mask] = mem[lane_addrs]
+            return MemAccess(space, lane_addrs, is_store=False)
 
         return load
 
@@ -257,15 +271,19 @@ def _build_run(inst: Instruction, warp_size: int):
         def store(ctx, mask, global_mem, shared_mem):
             addrs = addr_fetch(ctx).astype(np.int64) + offset
             mem = global_mem if is_global else shared_mem
-            if mask.any():
-                lane_addrs = addrs[mask]
-                _check_bounds(lane_addrs, mem, inst)
-                values = value_fetch(ctx)
-                # Lane order resolves same-address conflicts: highest lane
-                # wins, matching the reference interpreter.
-                mem[lane_addrs] = values[mask]
-                return MemAccess(space, lane_addrs, is_store=True)
-            return None
+            lanes = np.count_nonzero(mask)
+            if not lanes:
+                return None
+            # Lane order resolves same-address conflicts: highest lane
+            # wins, matching the reference interpreter.
+            if lanes == warp_size:
+                _check_bounds_fast(addrs, mem, inst)
+                mem[addrs] = value_fetch(ctx)
+                return MemAccess(space, addrs, is_store=True)
+            lane_addrs = addrs[mask]
+            _check_bounds_fast(lane_addrs, mem, inst)
+            mem[lane_addrs] = value_fetch(ctx)[mask]
+            return MemAccess(space, lane_addrs, is_store=True)
 
         return store
 
@@ -280,20 +298,21 @@ def _build_run(inst: Instruction, warp_size: int):
         def atomic(ctx, mask, global_mem, shared_mem):
             addrs = addr_fetch(ctx).astype(np.int64) + offset
             mem = global_mem if is_global else shared_mem
-            if mask.any():
-                lane_addrs = addrs[mask]
-                _check_bounds(lane_addrs, mem, inst)
-                operand = operand_fetch(ctx)
-                old = np.zeros(ctx.warp_size)
-                for lane in np.flatnonzero(mask):
-                    addr = addrs[lane]
-                    old[lane] = mem[addr]
-                    mem[addr] = _atom_apply(atom_op, mem[addr], operand[lane])
-                if dst_index is not None:
-                    np.copyto(ctx.regs[dst_index], old, where=mask)
-                return MemAccess(space, lane_addrs, is_store=True,
-                                 is_atomic=True)
-            return None
+            lanes = np.count_nonzero(mask)
+            if not lanes:
+                return None
+            lane_addrs = addrs if lanes == warp_size else addrs[mask]
+            _check_bounds_fast(lane_addrs, mem, inst)
+            operand = operand_fetch(ctx)
+            old = np.zeros(ctx.warp_size)
+            for lane in np.flatnonzero(mask):
+                addr = addrs[lane]
+                old[lane] = mem[addr]
+                mem[addr] = _atom_apply(atom_op, mem[addr], operand[lane])
+            if dst_index is not None:
+                np.copyto(ctx.regs[dst_index], old, where=mask)
+            return MemAccess(space, lane_addrs, is_store=True,
+                             is_atomic=True)
 
         return atomic
 

@@ -387,12 +387,18 @@ class Sm:
     def tick(self, cycle: int) -> int:
         """Run one cycle; returns the number of instructions issued."""
         self.resilience.tick(self, cycle)
+        tracer = self.tracer
+        if not self.blocks and tracer is None:
+            # No warps to pick from and no stall to attribute (the
+            # failed-pick memo is derived state that ``attach`` resets;
+            # the traced tick still closes the SM's open stall span).
+            return 0
         if self.plan is None:
             issuable, issue = self._issuable, self._issue
         else:
             issuable, issue = self._issuable_fast, self._issue_fast
-        if self.tracer is not None:
-            return self._tick_traced(cycle, issuable, issue, self.tracer)
+        if tracer is not None:
+            return self._tick_traced(cycle, issuable, issue, tracer)
         issued = 0
         fast = self.plan is not None
         for scheduler in self.schedulers:
@@ -415,18 +421,19 @@ class Sm:
                 continue
             issue(warp, cycle)
             issued += 1
-        if self.busy:
-            stats = self.stats
-            stats.active_cycles += 1
-            if issued:
-                stats.issue_cycles += 1
-                self._stall_cause = None
-            else:
-                stats.idle_cycles += 1
-                cause, culprit = self._classify_stall(cycle)
-                stats.count_stall(cause, culprit)
-                self._stall_cause = cause
-                self._stall_warp = culprit
+        # Blocks leave only between ticks (``Gpu.launch`` retires them),
+        # so the SM is still busy here.
+        stats = self.stats
+        stats.active_cycles += 1
+        if issued:
+            stats.issue_cycles += 1
+            self._stall_cause = None
+        else:
+            stats.idle_cycles += 1
+            cause, culprit = self._classify_stall(cycle)
+            stats.count_stall(cause, culprit)
+            self._stall_cause = cause
+            self._stall_warp = culprit
         return issued
 
     def _tick_traced(self, cycle: int, issuable, issue, tracer) -> int:
@@ -849,8 +856,9 @@ class Sm:
 
     def _time_memory_fast(self, warp: Warp, rec, access: MemAccess | None,
                           cycle: int) -> None:
-        """Plan-driven ``_time_memory`` with coalescing fast paths for
-        the dominant (uniform / unit-stride) access patterns."""
+        """Plan-driven ``_time_memory``: the coalescing and bank-degree
+        helpers work on Python ints, with fast paths for the dominant
+        (uniform / unit-stride) access patterns."""
         config = self.config
         if access is None:  # fully predicated-off memory op
             if rec.dst is not None:
@@ -876,7 +884,7 @@ class Sm:
             is_store = access.is_store
             l1, l2 = self.l1, self.l2
             for segment in segments:
-                word = int(segment) * line_words
+                word = segment * line_words
                 if l1.access(word, is_store=is_store):
                     seg_latency = config.l1_latency
                 elif l2.access(word, is_store=is_store):
@@ -1002,47 +1010,43 @@ class Sm:
         return best
 
 
-def _coalesce_segments(addrs: np.ndarray, line_words: int) -> np.ndarray:
-    """Cache-line segments touched, ascending — ``np.unique`` semantics
-    with O(n) fast paths for the dominant patterns: a uniform (broadcast)
-    access is one segment; an ascending unit-stride access covers every
-    line between its endpoints exactly once."""
-    n = addrs.shape[0]
-    if n == 1:
-        return addrs // line_words
-    first = int(addrs[0])
-    last = int(addrs[-1])
+def _coalesce_segments(addrs: np.ndarray, line_words: int) -> list[int]:
+    """Cache-line segments touched, ascending, as Python ints —
+    ``np.unique(addrs // line_words)`` on one ``tolist`` with O(n) fast
+    paths for the dominant patterns: a uniform (broadcast) access is one
+    segment; an ascending unit-stride access covers every line between
+    its endpoints exactly once."""
+    lanes = addrs.tolist()
+    first = lanes[0]
+    last = lanes[-1]
+    n = len(lanes)
     if first == last:
-        if not (addrs != first).any():
-            return addrs[:1] // line_words
-    elif last - first == n - 1 and bool((np.diff(addrs) == 1).all()):
-        return np.arange(first // line_words, last // line_words + 1,
-                         dtype=np.int64)
-    return np.unique(addrs // line_words)
+        if lanes.count(first) == n:
+            return [first // line_words]
+    elif last - first == n - 1 and lanes == list(range(first, last + 1)):
+        return list(range(first // line_words, last // line_words + 1))
+    return sorted({addr // line_words for addr in lanes})
 
 
 def _bank_degree(addrs: np.ndarray) -> int:
     """Shared-memory bank conflict degree — semantics of
-    ``Sm._bank_conflict_degree`` with conflict-free fast paths (uniform
-    accesses broadcast; at most 32 consecutive addresses hit 32 distinct
-    banks) and an O(lanes) bucket count instead of two ``np.unique``
-    sorts in the general case."""
-    n = addrs.shape[0]
-    if n == 1:
-        return 1
-    first = int(addrs[0])
-    last = int(addrs[-1])
+    ``Sm._bank_conflict_degree`` on one ``tolist``, with conflict-free
+    fast paths (uniform accesses broadcast; at most 32 consecutive
+    addresses hit 32 distinct banks) and an O(lanes) bucket count
+    instead of two ``np.unique`` sorts in the general case."""
+    lanes = addrs.tolist()
+    first = lanes[0]
+    last = lanes[-1]
+    n = len(lanes)
     if first == last:
-        if not (addrs != first).any():
+        if lanes.count(first) == n:
             return 1
     elif (last - first == n - 1 and n <= 32
-            and bool((np.diff(addrs) == 1).all())):
+            and lanes == list(range(first, last + 1))):
         return 1
     # Degree = max count of distinct addresses per bank (addresses are
     # bounds-checked non-negative, so ``& 31`` is ``% 32``).
-    distinct = set(addrs.tolist())
-    if len(distinct) <= 1:
-        return 1
+    distinct = set(lanes)
     counts = [0] * 32
     best = 1
     for addr in distinct:

@@ -307,11 +307,11 @@ class Warp:
         active = entry.mask & self._not_exited
         taken = self._planned_guard(rec, active)
         not_taken = active & ~taken
-        if not not_taken.any():
+        if not np.count_nonzero(not_taken):
             self.stack[-1].pc = target
             self._maybe_reconverge()
             return
-        if not taken.any():
+        if not np.count_nonzero(taken):
             self.advance()
             return
         reconv_pc = rec.reconv_pc

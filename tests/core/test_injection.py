@@ -402,43 +402,120 @@ class TestStrikeCycleValidation:
 
 
 class TestAddressDefCache:
+    """The address-def set is cached on the kernel object, so every
+    trial of a campaign cell (each with a fresh injector) shares one
+    analysis, and an entry is served only to the exact instruction
+    objects and labels it was computed on."""
+
+    @staticmethod
+    def _compiled(abbr="Triad"):
+        return compile_kernel(WORKLOADS[abbr].instance("tiny").kernel,
+                              "flame", wcdl=20).kernel
+
+    @staticmethod
+    def _count_analyses(monkeypatch):
+        from repro.core import injection
+
+        calls = []
+        analyse = injection._taint_address_defs
+
+        def counted(kernel):
+            calls.append(kernel)
+            return analyse(kernel)
+
+        monkeypatch.setattr(injection, "_taint_address_defs", counted)
+        return calls
+
     def test_cache_hit_returns_same_set(self):
-        workload = WORKLOADS["Triad"]
-        kernel = compile_kernel(workload.instance("tiny").kernel,
-                                "flame", wcdl=20).kernel
-        injector = FaultInjector(strike_cycles=[])
-        first = injector._address_defs(kernel)
-        assert injector._address_defs(kernel) is first
+        from repro.core.injection import address_defs
+
+        kernel = self._compiled()
+        first = address_defs(kernel)
+        assert isinstance(first, frozenset)
+        assert address_defs(kernel) is first
 
     def test_stale_id_reuse_not_served(self):
-        """id() values are recycled after garbage collection; a cache
-        entry must only be served to the exact kernel object that
-        populated it."""
-        workload = WORKLOADS["Triad"]
-        kernel = compile_kernel(workload.instance("tiny").kernel,
-                                "flame", wcdl=20).kernel
-        other = compile_kernel(WORKLOADS["SGEMM"].instance("tiny").kernel,
-                               "flame", wcdl=20).kernel
-        injector = FaultInjector(strike_cycles=[])
-        poison = {123456}
-        import weakref
-        injector._addr_cache[id(kernel)] = (weakref.ref(other), poison)
-        assert injector._address_defs(kernel) != poison
+        """An entry recorded for other instruction objects (whose ids a
+        later kernel could reuse once they die) is never served."""
+        from repro.core.injection import address_defs
 
-    def test_dead_referent_recomputed(self):
+        kernel = self._compiled()
+        other = self._compiled("SGEMM")
+        poison = frozenset({123456})
+        kernel.__dict__["_address_defs"] = (
+            tuple(map(id, other.instructions)),
+            tuple(sorted(other.labels.items())),
+            tuple(other.instructions), poison)
+        assert address_defs(kernel) != poison
+        assert address_defs(kernel) == address_defs(self._compiled())
+
+    def test_dead_referent_recomputed(self, monkeypatch):
+        """The entry pins the instructions it was computed on, so their
+        ids cannot be recycled: swapping in fresh (equal) instruction
+        objects and collecting the old ones recomputes the set."""
+        import copy
         import gc
-        import weakref
 
-        workload = WORKLOADS["Triad"]
-        kernel = compile_kernel(workload.instance("tiny").kernel,
-                                "flame", wcdl=20).kernel
-        injector = FaultInjector(strike_cycles=[])
-        victim = compile_kernel(workload.instance("tiny").kernel,
-                                "flame", wcdl=20).kernel
-        injector._addr_cache[id(kernel)] = (weakref.ref(victim), {999})
-        del victim
+        from repro.core.injection import address_defs
+
+        kernel = self._compiled()
+        expected = address_defs(kernel)
+        ids, labels, pinned, _ = kernel.__dict__["_address_defs"]
+        kernel.__dict__["_address_defs"] = (ids, labels, pinned,
+                                            frozenset({999}))
+        kernel.instructions = [copy.copy(inst)
+                               for inst in kernel.instructions]
+        del pinned
         gc.collect()
-        assert injector._address_defs(kernel) != {999}
+        calls = self._count_analyses(monkeypatch)
+        assert address_defs(kernel) == expected
+        assert len(calls) == 1
+
+    def test_trials_of_one_cell_analyse_once(self, monkeypatch):
+        from repro.core import campaign as campaign_module
+        from repro.core.campaign import TrialSpec, run_trial
+
+        campaign_module._GOLDEN_CACHE.clear()
+        calls = self._count_analyses(monkeypatch)
+        results = [run_trial(TrialSpec(workload="SGEMM", scheme="flame",
+                                       index=i, campaign_seed=5))
+                   for i in range(5)]
+        assert sum(r.landed for r in results) >= 2
+        assert len(calls) == 1
+
+    def test_editing_the_kernel_invalidates_the_set(self, monkeypatch):
+        """Replacing an instruction (how compiler passes edit kernels)
+        recomputes: here the store's address moves from one producer to
+        the other, and the cached set follows it."""
+        import dataclasses
+
+        from repro.core.injection import address_defs
+        from repro.isa import KernelBuilder
+
+        b = KernelBuilder("swap", num_params=1)
+        (ptr,) = b.params(1)
+        i = b.tid_x()
+        addr = b.add(i, ptr)
+        value = b.mul(i, 2.0)
+        b.st_global(addr, value)
+        kernel = b.build()
+        add_at = next(k for k, inst in enumerate(kernel.instructions)
+                      if inst.dst == addr)
+        mul_at = next(k for k, inst in enumerate(kernel.instructions)
+                      if inst.dst == value)
+        store_at = next(k for k, inst in enumerate(kernel.instructions)
+                        if inst.info.is_store)
+        before = address_defs(kernel)
+        assert add_at in before and mul_at not in before
+
+        calls = self._count_analyses(monkeypatch)
+        store = kernel.instructions[store_at]
+        kernel.instructions[store_at] = dataclasses.replace(
+            store, srcs=(value, addr))
+        after = address_defs(kernel)
+        assert mul_at in after and add_at not in after
+        assert address_defs(kernel) is after
+        assert len(calls) == 1
 
 
 class TestRecoveryStorm:

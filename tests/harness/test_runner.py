@@ -94,6 +94,37 @@ class TestRunMemory:
         assert len(kernels) == 1
         assert kernels[0]() is None
 
+    def test_run_leaves_nothing_frozen(self, runner):
+        """The pre-run freeze that narrows the collection to the run's
+        own objects is undone after the run."""
+        assert gc.get_freeze_count() == 0
+        runner.run(RunSpec(workload="Triad", scheme="baseline",
+                           scale="tiny"))
+        assert gc.get_freeze_count() == 0
+
+    def test_failing_run_leaves_nothing_frozen(self, runner, monkeypatch):
+        def boom(spec):
+            raise RuntimeError("simulated failure")
+
+        monkeypatch.setattr(runner_module, "execute", boom)
+        with pytest.raises(RuntimeError, match="simulated failure"):
+            runner.run(RunSpec(workload="Triad", scheme="baseline",
+                               scale="tiny"))
+        assert gc.get_freeze_count() == 0
+
+    def test_caller_frozen_objects_stay_frozen(self, runner):
+        """A caller's freeze survives the run: the runner neither
+        unfreezes it nor adds its own (frozen objects that die during
+        the run leave the count, so it can only shrink)."""
+        gc.freeze()
+        try:
+            frozen = gc.get_freeze_count()
+            runner.run(RunSpec(workload="Triad", scheme="baseline",
+                               scale="tiny"))
+            assert 0 < gc.get_freeze_count() <= frozen
+        finally:
+            gc.unfreeze()
+
 
 class TestCrashSafety:
     def test_store_leaves_no_temp_files(self, runner):

@@ -4,9 +4,55 @@ must time every lane pattern exactly as the reference interpreter's
 ``np.unique``-based model does."""
 
 import numpy as np
+from hypothesis import given, strategies as st
 
 from repro.isa import CmpOp, KernelBuilder
 from repro.sim import LaunchConfig, run_kernel
+from repro.sim.sm import Sm, _bank_degree, _coalesce_segments
+
+
+@st.composite
+def lane_addresses(draw):
+    """The active lanes' addresses of one warp access: 1-32 lanes as a
+    broadcast, a +1 or -1 unit-stride sweep, a masked subset of a sweep,
+    or an unsorted draw over a small or wide range (duplicates likely in
+    the small one)."""
+    n = draw(st.integers(1, 32))
+    base = draw(st.integers(0, 4096))
+    kind = draw(st.sampled_from(
+        ["broadcast", "ascending", "descending", "masked", "random"]))
+    if kind == "broadcast":
+        lanes = [base] * n
+    elif kind == "ascending":
+        lanes = list(range(base, base + n))
+    elif kind == "descending":
+        lanes = list(range(base + n - 1, base - 1, -1))
+    elif kind == "masked":
+        keep = draw(st.lists(st.booleans(), min_size=32, max_size=32)
+                    .filter(any))
+        lanes = [base + lane for lane in range(32) if keep[lane]]
+    else:
+        span = draw(st.sampled_from([4, 64, 4096]))
+        lanes = draw(st.lists(st.integers(base, base + span),
+                              min_size=n, max_size=n))
+    return np.array(lanes, dtype=np.int64)
+
+
+class TestHelpersMatchNumpy:
+    """The fast path's Python-int helpers against the NumPy expressions
+    the reference interpreter times with."""
+
+    @given(lane_addresses(), st.integers(1, 64))
+    def test_coalesce_segments_is_unique_of_lines(self, addrs, line_words):
+        segments = _coalesce_segments(addrs, line_words)
+        assert segments == np.unique(addrs // line_words).tolist()
+        assert all(type(segment) is int for segment in segments)
+
+    @given(lane_addresses())
+    def test_bank_degree_matches_reference(self, addrs):
+        degree = _bank_degree(addrs)
+        assert degree == Sm._bank_conflict_degree(addrs)
+        assert type(degree) is int
 
 
 class TestClosedFormTiming:

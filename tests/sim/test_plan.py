@@ -263,3 +263,101 @@ class TestMicroKernelEquivalence:
         mem = np.zeros(128)
         mem[:40] = 1.0
         both_paths(saxpy_kernel, launch, mem)
+
+
+class TestOutOfBoundsParity:
+    """The plan closures' one-reduction bounds check raises exactly the
+    reference interpreter's ``SimError``: the message becomes the
+    ``detail`` of a DUE-crash journal row, so it must not depend on the
+    execution path."""
+
+    WARP = 32
+    SIZE = 64
+
+    def _ctx(self, addrs):
+        from repro.isa import Special
+        from repro.sim import LaneContext
+
+        specials = {s: np.arange(self.WARP, dtype=float) for s in Special}
+        ctx = LaneContext(4, 1, self.WARP, specials, np.zeros(1))
+        ctx.regs[1] = addrs
+        ctx.regs[2] = np.arange(self.WARP, dtype=float) + 0.5
+        return ctx
+
+    def _inst(self, op, space):
+        from repro.isa import Reg, Space
+
+        space = Space.GLOBAL if space == "global" else Space.SHARED
+        if op == "ld":
+            return Instruction(op=Op.LD, dst=Reg(0), srcs=(Reg(1),),
+                               space=space)
+        if op == "st":
+            return Instruction(op=Op.ST, srcs=(Reg(1), Reg(2)), space=space)
+        return Instruction(op=Op.ATOM, dst=Reg(0), srcs=(Reg(1), Reg(2)),
+                           space=space, atom_op=AtomOp.ADD)
+
+    def _both(self, inst, addrs, active):
+        """Run the reference ``execute`` and the plan closure on equal
+        inputs; return each side's (error text or None, ctx, gmem, smem)."""
+        from repro.errors import SimError
+        from repro.sim import execute
+        from repro.sim.plan import _build_run
+
+        outcomes = []
+        for fast in (False, True):
+            ctx = self._ctx(addrs)
+            gmem = np.arange(self.SIZE, dtype=float)
+            smem = np.arange(self.SIZE, dtype=float) * 2.0
+            try:
+                if fast:
+                    _build_run(inst, self.WARP)(ctx, active, gmem, smem)
+                else:
+                    execute(inst, ctx, active, gmem, smem)
+                error = None
+            except SimError as exc:
+                error = str(exc)
+            outcomes.append((error, ctx, gmem, smem))
+        return outcomes
+
+    @pytest.mark.parametrize("op", ["ld", "st", "atom"])
+    @pytest.mark.parametrize("space", ["global", "shared"])
+    @pytest.mark.parametrize("bad", [-1, -1000, 64, 1000])
+    @pytest.mark.parametrize("full_mask", [True, False])
+    def test_same_error_text(self, op, space, bad, full_mask):
+        addrs = np.arange(self.WARP, dtype=float)
+        addrs[6] = bad
+        active = (np.ones(self.WARP, dtype=bool) if full_mask
+                  else np.arange(self.WARP) % 3 == 0)  # lane 6 active
+        (ref_err, *_), (fast_err, *_) = self._both(
+            self._inst(op, space), addrs, active)
+        assert ref_err is not None and "out-of-bounds" in ref_err
+        assert fast_err == ref_err
+
+    @pytest.mark.parametrize("op", ["ld", "st", "atom"])
+    @pytest.mark.parametrize("space", ["global", "shared"])
+    def test_masked_off_bad_lane_does_not_raise(self, op, space):
+        addrs = np.arange(self.WARP, dtype=float)
+        addrs[7] = -5.0
+        active = np.arange(self.WARP) % 3 == 0  # lane 7 inactive
+        ref, fast = self._both(self._inst(op, space), addrs, active)
+        assert ref[0] is None and fast[0] is None
+        assert np.array_equal(ref[1].regs, fast[1].regs)
+        assert ref[2].tobytes() == fast[2].tobytes()
+        assert ref[3].tobytes() == fast[3].tobytes()
+
+    def test_launch_level_error_matches(self):
+        from repro.errors import SimError
+
+        b = KernelBuilder("oob", num_params=1)
+        (ptr,) = b.params(1)
+        i = b.tid_x()
+        b.st_global(b.add(ptr, i), 1.0)
+        kernel = b.build()
+        launch = LaunchConfig(grid=(1, 1), block=(32, 1), params=(40.0,))
+        texts = []
+        for fast in (True, False):
+            with pytest.raises(SimError) as info:
+                run_kernel(kernel, launch, np.zeros(64), fast=fast)
+            texts.append(str(info.value))
+        assert texts[0] == texts[1]
+        assert "addr range [40, 71], size 64" in texts[0]
