@@ -11,7 +11,7 @@ Public surface:
 """
 
 from .caches import Cache
-from .functional import LaneContext, MemAccess, execute, guard_mask
+from .functional import LaneContext, MemAccess
 from .gpu import (Gpu, LaunchConfig, MAX_CYCLES, RunResult, occupancy_blocks,
                   run_kernel)
 from .plan import ExecPlan, PlannedInst, get_plan
@@ -37,7 +37,7 @@ __all__ = [
     "SCHEDULERS", "SNAPSHOT_VERSION",
     "Sanitizer", "SimStats", "Sm", "StackEntry", "ThreadBlock",
     "TwoLevelScheduler", "capture_gpu", "get_plan", "machine_probe",
-    "Warp", "WarpScheduler", "WarpSnapshot", "WarpState", "execute",
-    "guard_mask", "make_scheduler", "occupancy_blocks", "plain_equal",
+    "Warp", "WarpScheduler", "WarpSnapshot", "WarpState",
+    "make_scheduler", "occupancy_blocks", "plain_equal",
     "restore_gpu", "run_kernel",
 ]

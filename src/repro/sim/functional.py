@@ -1,10 +1,12 @@
-"""Functional (value-level) semantics of the virtual ISA.
+"""Value-level building blocks of the virtual ISA.
 
 Each warp executes instructions on 32 lanes at once using NumPy vectors.
 General registers hold float64 values; integer/bitwise opcodes operate on
-the int64 truncation.  ``execute`` applies one instruction under an
-active-lane mask and returns the memory addresses touched (if any) so the
-timing model can coalesce them.
+the int64 truncation.  The per-op value closures live in
+:mod:`repro.sim.plan`; this module holds what they share: the warp's
+:class:`LaneContext`, the :class:`MemAccess` record the timing model
+coalesces, comparison and atomic semantics, and the bounds check whose
+message becomes a DUE-crash row's ``detail``.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import SimError
-from ..isa import AtomOp, CmpOp, Imm, Instruction, Op, Pred, Reg, Space, Special
+from ..isa import AtomOp, CmpOp, Instruction, Space, Special
 
 _CMP_FNS = {
     CmpOp.EQ: np.equal,
@@ -44,201 +46,11 @@ class LaneContext:
                  params: np.ndarray) -> None:
         self.regs = np.zeros((max(num_regs, 1), warp_size), dtype=np.float64)
         self.preds = np.zeros((max(num_preds, 1), warp_size), dtype=bool)
-        self.specials = specials
-        # Positional view of the same arrays (Special declaration order),
-        # so plan fetchers index a list instead of hashing enum members.
+        # Special-register rows in Special declaration order, so plan
+        # fetchers index a list instead of hashing enum members.
         self.special_rows = [specials.get(s) for s in Special]
         self.params = params
         self.warp_size = warp_size
-
-    def read(self, operand) -> np.ndarray:
-        if isinstance(operand, Reg):
-            return self.regs[operand.index]
-        if isinstance(operand, Pred):
-            return self.preds[operand.index]
-        if isinstance(operand, Imm):
-            return np.full(self.warp_size, operand.value, dtype=np.float64)
-        if isinstance(operand, Special):
-            return self.specials[operand]
-        raise SimError(f"unreadable operand {operand!r}")
-
-    def write_reg(self, reg: Reg, value: np.ndarray, mask: np.ndarray) -> None:
-        np.copyto(self.regs[reg.index], value, where=mask)
-
-    def write_pred(self, pred: Pred, value: np.ndarray,
-                   mask: np.ndarray) -> None:
-        np.copyto(self.preds[pred.index], value, where=mask)
-
-
-def guard_mask(inst: Instruction, ctx: LaneContext,
-               active: np.ndarray) -> np.ndarray:
-    """Lanes in which the (possibly predicated) instruction takes effect."""
-    if inst.guard is None:
-        return active
-    guard = ctx.preds[inst.guard.index]
-    if not inst.guard_sense:
-        guard = ~guard
-    return active & guard
-
-
-def _as_int(values: np.ndarray) -> np.ndarray:
-    return values.astype(np.int64)
-
-
-def _alu_result(inst: Instruction, ctx: LaneContext) -> np.ndarray:
-    op = inst.op
-    read = ctx.read
-    with np.errstate(all="ignore"):
-        if op is Op.ADD:
-            return read(inst.srcs[0]) + read(inst.srcs[1])
-        if op is Op.SUB:
-            return read(inst.srcs[0]) - read(inst.srcs[1])
-        if op is Op.MUL:
-            return read(inst.srcs[0]) * read(inst.srcs[1])
-        if op is Op.MAD:
-            return read(inst.srcs[0]) * read(inst.srcs[1]) + read(inst.srcs[2])
-        if op is Op.DIV:
-            denom = read(inst.srcs[1])
-            out = read(inst.srcs[0]) / np.where(denom == 0.0, np.nan, denom)
-            return np.nan_to_num(out, nan=0.0, posinf=0.0, neginf=0.0)
-        if op is Op.REM:
-            denom = _as_int(read(inst.srcs[1]))
-            safe = np.where(denom == 0, 1, denom)
-            out = np.remainder(_as_int(read(inst.srcs[0])), safe)
-            return np.where(denom == 0, 0, out).astype(np.float64)
-        if op is Op.MIN:
-            return np.minimum(read(inst.srcs[0]), read(inst.srcs[1]))
-        if op is Op.MAX:
-            return np.maximum(read(inst.srcs[0]), read(inst.srcs[1]))
-        if op is Op.ABS:
-            return np.abs(read(inst.srcs[0]))
-        if op is Op.NEG:
-            return -read(inst.srcs[0])
-        if op is Op.FLOOR:
-            return np.floor(read(inst.srcs[0]))
-        if op is Op.AND:
-            return (_as_int(read(inst.srcs[0]))
-                    & _as_int(read(inst.srcs[1]))).astype(np.float64)
-        if op is Op.OR:
-            return (_as_int(read(inst.srcs[0]))
-                    | _as_int(read(inst.srcs[1]))).astype(np.float64)
-        if op is Op.XOR:
-            return (_as_int(read(inst.srcs[0]))
-                    ^ _as_int(read(inst.srcs[1]))).astype(np.float64)
-        if op is Op.NOT:
-            return (~_as_int(read(inst.srcs[0]))).astype(np.float64)
-        if op is Op.SHL:
-            shift = np.clip(_as_int(read(inst.srcs[1])), 0, 62)
-            return (_as_int(read(inst.srcs[0])) << shift).astype(np.float64)
-        if op is Op.SHR:
-            shift = np.clip(_as_int(read(inst.srcs[1])), 0, 62)
-            return (_as_int(read(inst.srcs[0])) >> shift).astype(np.float64)
-        if op is Op.MOV:
-            return read(inst.srcs[0]).astype(np.float64)
-        if op is Op.SELP:
-            pred = read(inst.srcs[2])
-            return np.where(pred, read(inst.srcs[0]), read(inst.srcs[1]))
-        if op is Op.SQRT:
-            return np.sqrt(np.maximum(read(inst.srcs[0]), 0.0))
-        if op is Op.RSQRT:
-            base = np.maximum(read(inst.srcs[0]), 1e-300)
-            return 1.0 / np.sqrt(base)
-        if op is Op.EXP:
-            return np.exp(np.clip(read(inst.srcs[0]), -700.0, 700.0))
-        if op is Op.LOG:
-            return np.log(np.maximum(read(inst.srcs[0]), 1e-300))
-        if op is Op.SIN:
-            return np.sin(read(inst.srcs[0]))
-        if op is Op.COS:
-            return np.cos(read(inst.srcs[0]))
-    raise SimError(f"no ALU semantics for {inst.op}")
-
-
-def execute(inst: Instruction, ctx: LaneContext, active: np.ndarray,
-            global_mem: np.ndarray, shared_mem: np.ndarray,
-            stats=None) -> MemAccess | None:
-    """Apply one instruction's value semantics in the masked lanes.
-
-    Returns a :class:`MemAccess` for loads/stores/atomics (used by the
-    timing model), ``None`` otherwise.  Control instructions (branches,
-    barriers, exits, boundaries) have no value semantics here — the warp
-    object handles them.
-    """
-    mask = guard_mask(inst, ctx, active)
-    op = inst.op
-    info = inst.info
-
-    if info.is_load:
-        if inst.space is Space.PARAM:
-            index = int(inst.srcs[0].value)
-            value = np.full(ctx.warp_size, ctx.params[index])
-            ctx.write_reg(inst.dst, value, mask)
-            return None
-        addrs = _as_int(ctx.read(inst.srcs[0])) + inst.offset
-        mem = global_mem if inst.space is Space.GLOBAL else shared_mem
-        if mask.any():
-            lane_addrs = addrs[mask]
-            _check_bounds(lane_addrs, mem, inst)
-            values = np.zeros(ctx.warp_size)
-            values[mask] = mem[lane_addrs]
-            ctx.write_reg(inst.dst, values, mask)
-            return MemAccess(inst.space, lane_addrs, is_store=False)
-        return None
-
-    if info.is_store:
-        addrs = _as_int(ctx.read(inst.srcs[0])) + inst.offset
-        mem = global_mem if inst.space is Space.GLOBAL else shared_mem
-        if mask.any():
-            lane_addrs = addrs[mask]
-            _check_bounds(lane_addrs, mem, inst)
-            values = ctx.read(inst.srcs[1])
-            # Lane order resolves same-address conflicts: highest lane wins,
-            # matching CUDA's unspecified-but-deterministic per-SM behaviour.
-            mem[lane_addrs] = values[mask]
-            return MemAccess(inst.space, lane_addrs, is_store=True)
-        return None
-
-    if info.is_atomic:
-        addrs = _as_int(ctx.read(inst.srcs[0])) + inst.offset
-        mem = global_mem if inst.space is Space.GLOBAL else shared_mem
-        if mask.any():
-            lane_addrs = addrs[mask]
-            _check_bounds(lane_addrs, mem, inst)
-            operand = ctx.read(inst.srcs[1])
-            old = np.zeros(ctx.warp_size)
-            for lane in np.flatnonzero(mask):
-                addr = addrs[lane]
-                old[lane] = mem[addr]
-                mem[addr] = _atom_apply(inst.atom_op, mem[addr], operand[lane])
-            if inst.dst is not None:
-                ctx.write_reg(inst.dst, old, mask)
-            return MemAccess(inst.space, lane_addrs, is_store=True,
-                             is_atomic=True)
-        return None
-
-    if op is Op.SETP:
-        result = _CMP_FNS[inst.cmp](ctx.read(inst.srcs[0]),
-                                    ctx.read(inst.srcs[1]))
-        ctx.write_pred(inst.dst, result, mask)
-        return None
-    if op is Op.PAND:
-        ctx.write_pred(inst.dst,
-                       ctx.read(inst.srcs[0]) & ctx.read(inst.srcs[1]), mask)
-        return None
-    if op is Op.POR:
-        ctx.write_pred(inst.dst,
-                       ctx.read(inst.srcs[0]) | ctx.read(inst.srcs[1]), mask)
-        return None
-    if op is Op.PNOT:
-        ctx.write_pred(inst.dst, ~ctx.read(inst.srcs[0]), mask)
-        return None
-
-    if info.is_branch or info.is_barrier or info.is_exit or info.is_boundary:
-        return None
-
-    result = _alu_result(inst, ctx)
-    ctx.write_reg(inst.dst, result, mask)
-    return None
 
 
 def _atom_apply(atom_op: AtomOp, old: float, operand: float) -> float:

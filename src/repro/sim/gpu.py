@@ -9,7 +9,6 @@ import numpy as np
 from ..arch import GpuConfig, GTX480
 from ..errors import LaunchError, SimError, SimTimeout
 from ..isa import Cfg, Kernel, Special
-from ..isa.cfg import reconvergence_table_for
 from .caches import Cache
 from .plan import get_plan
 from .sm import NEVER, ResilienceRuntime, NULL_RESILIENCE, Sm, ThreadBlock
@@ -94,13 +93,9 @@ class Gpu:
     def __init__(self, config: GpuConfig = GTX480,
                  resilience: ResilienceRuntime = NULL_RESILIENCE,
                  scheduler: str = "GTO", sanitizer=None,
-                 fast: bool = True, tracer=None) -> None:
+                 tracer=None) -> None:
         self.config = config
         self.scheduler = scheduler
-        #: Drive the SMs from decode-once execution plans (repro.sim.plan).
-        #: ``fast=False`` selects the reference interpreter; both paths
-        #: produce byte-identical cycles, stats, and memory.
-        self.fast = fast
         self.l2 = Cache(config.l2, name="l2")
         self.sms = [Sm(i, config, self.l2, resilience)
                     for i in range(config.sim_sms)]
@@ -157,12 +152,10 @@ class Gpu:
             raise LaunchError("global memory must be a float64 array")
         regs = regs_per_thread if regs_per_thread is not None else kernel.num_regs
         blocks_per_sm = occupancy_blocks(self.config, kernel, launch, regs)
-        reconv = reconvergence_table_for(kernel)
-        plan = get_plan(kernel, self.config) if self.fast else None
+        plan = get_plan(kernel, self.config)
         params = np.asarray(launch.params, dtype=np.float64)
         for sm in self.sms:
-            sm.configure(kernel, global_mem, reconv, self.scheduler,
-                         plan=plan)
+            sm.configure(kernel, global_mem, self.scheduler, plan)
         all_blocks = list(self._make_blocks(kernel, launch, params))
         total_blocks = len(all_blocks)
         if recorder is not None:
@@ -232,18 +225,6 @@ class Gpu:
                     self.tracer.now = cycle
                 issued = 0
                 for sm in sms:
-                    # Per-SM idle elision (fast path only, so the
-                    # ``fast=False`` oracle keeps ticking every SM every
-                    # cycle): an SM that classified a stall on its last
-                    # tick and whose next possible issue lies in the
-                    # future would re-derive the same stall cause —
-                    # account the idle cycle directly.  Same next_event
-                    # trust as ``_fast_forward``, applied per SM.
-                    if (plan is not None and self.tracer is None
-                            and sm._stall_cause is not None
-                            and sm.next_event(cycle) > cycle):
-                        sm.account_stall_skip(1)
-                        continue
                     issued += sm.tick(cycle)
                 # Retire finished blocks (live-warp counters hit zero).
                 for sm in sms:
@@ -406,13 +387,9 @@ def run_kernel(kernel: Kernel, launch: LaunchConfig, global_mem: np.ndarray,
                resilience: ResilienceRuntime = NULL_RESILIENCE,
                regs_per_thread: int | None = None,
                max_cycles: int | None = None, sanitizer=None,
-               fast: bool = True, tracer=None) -> RunResult:
-    """Convenience one-shot: build a GPU, launch, return the result.
-
-    ``fast=False`` runs the reference per-issue interpreter instead of
-    the decode-once execution plan; results are byte-identical.
-    """
-    gpu = Gpu(config, resilience, scheduler, sanitizer=sanitizer, fast=fast,
+               tracer=None) -> RunResult:
+    """Convenience one-shot: build a GPU, launch, return the result."""
+    gpu = Gpu(config, resilience, scheduler, sanitizer=sanitizer,
               tracer=tracer)
     return gpu.launch(kernel, launch, global_mem, regs_per_thread,
                       max_cycles=max_cycles)

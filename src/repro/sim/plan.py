@@ -1,23 +1,21 @@
-"""Decode-once execution plans: the simulator's specialized hot path.
+"""Decode-once execution plans: the simulator's issue path.
 
-The reference interpreter (``Sm._issue`` + ``functional.execute``)
-re-decodes every static :class:`~repro.isa.Instruction` on every dynamic
-issue: isinstance chains over the operand kinds, ``OP_INFO`` lookups,
-branchy op dispatch, and per-issue tuple construction for the scoreboard
-check.  An :class:`ExecPlan` lowers each static instruction exactly once
-at ``Sm.configure`` time into a :class:`PlannedInst` dispatch record:
+Decoding a static :class:`~repro.isa.Instruction` takes isinstance
+chains over the operand kinds, ``OP_INFO`` lookups, branchy op dispatch
+and tuple construction for the scoreboard check.  An :class:`ExecPlan`
+does that work once per (kernel, config), at ``Sm.configure`` time,
+lowering each instruction into a :class:`PlannedInst` dispatch record
+that ``Sm`` issues from:
 
 * operand *fetchers* — closures resolved per operand kind (register row,
   predicate row, shared read-only immediate vector, specials entry);
-* an op-specific ``run`` closure with the exact value semantics of
-  ``functional.execute`` (same NumPy expressions, same evaluation order,
-  same ``MemAccess`` results) so the fast path is byte-identical; only
-  the memory closures differ in form: they move a full warp without its
-  mask and bounds-check in one reduction, raising the reference's error;
+* an op-specific ``run`` closure with the value semantics of the ISA;
+  the memory closures move a full warp without its mask and
+  bounds-check in one reduction, raising ``functional._check_bounds``'s
+  error;
 * precomputed scoreboard operand tuples, functional-unit class, fixed
   latency, guard policy, branch target/reconvergence PC, and the flag
-  set (``is_timed_mem``, shadow/ckpt, fault-surface tracking) that the
-  reference path re-derives per issue.
+  set (``is_timed_mem``, shadow/ckpt, fault-surface tracking).
 
 Plans are cached on the kernel object, keyed by the instruction/label
 content and the :class:`~repro.arch.GpuConfig`, so repeated launches of
@@ -26,9 +24,12 @@ once per process.  The plan holds strong references to the fingerprinted
 instruction objects, which keeps their ids stable for the lifetime of
 the cache entry (a mutated kernel can never alias a stale fingerprint).
 
-The reference path stays selectable via ``run_kernel(..., fast=False)``;
-``tests/integration/test_fast_equivalence.py`` proves both paths produce
-identical cycles, stats, and final memory on every workload.
+A decode-per-issue reference interpreter lives beside the tests, in the
+``tests/oracle`` package: a subclass of ``Sm`` put on an ordinary
+``Gpu``.  Its ``assert_matches_oracle`` runs a launch on both and
+requires identical cycles, ``SimStats`` and final memory, over every
+workload (``tests/integration/test_fast_equivalence.py``) and over
+generated programs (``tests/integration/test_property_based.py``).
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from ..isa import FuClass, Imm, Instruction, Kernel, Op, Pred, Reg, Space, Speci
 from ..isa.cfg import reconvergence_table_for
 from .functional import MemAccess, _atom_apply, _check_bounds, _CMP_FNS
 
-# Dispatch kinds (checked with == in Sm._issue_fast; ints, not enums,
+# Dispatch kinds (checked with == in Sm._issue; ints, not enums,
 # to keep the comparison a single C-level operation).
 K_VALUE = 0   # value semantics via ``run`` (ALU, predicate, memory, RB)
 K_BRA = 1
@@ -58,8 +59,7 @@ T_GLOBAL = 2
 _SPECIAL_INDEX = {special: i for i, special in enumerate(Special)}
 
 #: Shared read-only immediate vectors, keyed by (warp_size, value).
-#: ``LaneContext.read`` materializes a fresh ``np.full`` per read; every
-#: consumer treats sources as read-only, so one frozen array per
+#: Every consumer treats sources as read-only, so one frozen array per
 #: distinct immediate serves all warps of all launches.
 _IMM_CACHE: dict[tuple[int, float], np.ndarray] = {}
 
@@ -96,10 +96,10 @@ def _as_int(values: np.ndarray) -> np.ndarray:
 
 
 def _build_alu(inst: Instruction, fetch) -> "callable":
-    """Specialized value function mirroring ``functional._alu_result``.
+    """Specialized value function of one ALU/SFU op.
 
-    Every branch reproduces the reference expression verbatim (same NumPy
-    calls, same clamping) so fast-path results are bit-identical.  The
+    The test oracle's ``_alu_result`` evaluates the same NumPy calls
+    with the same clamping, so both give bit-identical results.  The
     surrounding ``np.errstate`` lives around the launch loop in
     ``Gpu.launch`` rather than per call.
     """
@@ -213,7 +213,7 @@ def _check_bounds_fast(addrs: np.ndarray, mem: np.ndarray,
                        inst: Instruction) -> None:
     """``functional._check_bounds`` in one reduction: a negative
     address reads as a huge unsigned one, so a single ``max`` catches
-    both ends; the reference check then raises with its exact text."""
+    both ends; the full check then raises with its exact text."""
     if addrs.view(np.uint64).max() >= mem.size:
         _check_bounds(addrs, mem, inst)
 
@@ -222,8 +222,7 @@ def _build_run(inst: Instruction, warp_size: int):
     """The value-semantics closure for one K_VALUE record.
 
     Signature: ``run(ctx, mask, global_mem, shared_mem) -> MemAccess|None``
-    with ``mask`` the precomputed guard mask — exactly what
-    ``functional.execute`` computes internally.
+    with ``mask`` the precomputed guard mask (:meth:`PlannedInst.guard`).
     """
     info = inst.info
     dst = inst.dst
@@ -275,7 +274,8 @@ def _build_run(inst: Instruction, warp_size: int):
             if not lanes:
                 return None
             # Lane order resolves same-address conflicts: highest lane
-            # wins, matching the reference interpreter.
+            # wins, matching CUDA's unspecified-but-deterministic
+            # per-SM behaviour.
             if lanes == warp_size:
                 _check_bounds_fast(addrs, mem, inst)
                 mem[addrs] = value_fetch(ctx)
@@ -400,10 +400,9 @@ class PlannedInst:
         guard = inst.guard
         self.guard_index = guard.index if guard is not None else None
         self.guard_sense = inst.guard_sense
-        # The reference path recomputes the guard mask *after* execution
-        # for the fault-surface bookkeeping; the only instruction whose
-        # execution can change its own guard is a predicate write that
-        # aliases it.
+        # The fault surface records the guard mask as it stands *after*
+        # execution; the only instruction whose execution can change its
+        # own guard is a predicate write that aliases it.
         self.guard_recheck = (isinstance(inst.dst, Pred)
                               and guard is not None
                               and inst.dst.index == guard.index)
@@ -451,14 +450,15 @@ class PlannedInst:
         else:
             # Includes RB markers: issuing one (possible under a custom
             # resilience runtime that leaves the PC on a marker) is a
-            # counted no-op, exactly as in the reference interpreter.
+            # counted no-op.
             self.kind = K_VALUE
             self.target = -1
             self.reconv_pc = -1
             self.run = _build_run(inst, config.warp_size)
 
     def guard(self, ctx, active: np.ndarray) -> np.ndarray:
-        """Guard mask — semantics of ``functional.guard_mask``."""
+        """Lanes of ``active`` in which the (possibly predicated)
+        instruction takes effect."""
         index = self.guard_index
         if index is None:
             return active

@@ -22,7 +22,7 @@ class WarpScheduler:
 
     name = "base"
 
-    #: Failed-pick memo (fast path only): after a pick returns None,
+    #: Failed-pick memo: after a pick returns None,
     #: ``Sm.tick`` records the earliest cycle any managed warp could
     #: become issuable plus a validation stamp (sum of warp versions and
     #: the SM's LSU horizon); until then a re-pick provably fails too,

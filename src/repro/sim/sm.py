@@ -13,10 +13,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..arch import GpuConfig
-from ..errors import SimError
-from ..isa import FuClass, Instruction, Kernel, Op, Pred, Reg, Space
+from ..isa import Kernel
 from .caches import Cache
-from .functional import MemAccess, execute, guard_mask
+from .functional import MemAccess
 from .plan import ExecPlan, K_BAR, K_BRA, K_VALUE, T_ATOMIC, T_SHARED
 from .schedulers import WarpScheduler, make_scheduler
 from .stats import STALL_CAUSES, SimStats
@@ -119,10 +118,6 @@ class ThreadBlock:
         #: is a counter decrement instead of a per-cycle all-warps scan.
         self.live_warps: int = 0
 
-    @property
-    def done(self) -> bool:
-        return all(w.state is WarpState.DONE for w in self.warps)
-
 
 class Sm:
     """One streaming multiprocessor."""
@@ -141,7 +136,6 @@ class Sm:
         self.resilience = resilience.bind(self)
         self.global_mem: np.ndarray | None = None
         self.kernel: Kernel | None = None
-        self.reconv: dict[int, int] = {}
         self.plan: ExecPlan | None = None
         self._lsu_free_at = 0
         self._next_sched = 0
@@ -170,11 +164,9 @@ class Sm:
     # Launch-time setup
     # ------------------------------------------------------------------
     def configure(self, kernel: Kernel, global_mem: np.ndarray,
-                  reconv: dict[int, int], scheduler: str,
-                  plan: ExecPlan | None = None) -> None:
+                  scheduler: str, plan: ExecPlan) -> None:
         self.kernel = kernel
         self.global_mem = global_mem
-        self.reconv = reconv
         self.plan = plan
         self.scheduler_name = scheduler
         self.schedulers = [make_scheduler(scheduler)
@@ -361,24 +353,14 @@ class Sm:
     def skip_markers(self, warp: Warp, cycle: int) -> None:
         """Deliver boundary markers at the warp's PC to the resilience
         runtime; in the null runtime they are consumed for free."""
-        plan = self.plan
-        if plan is not None:
-            rb_flags = plan.rb_flags
-            while (warp.state is WarpState.ACTIVE and not warp._finished
-                   and rb_flags[warp.stack[-1].pc]):
-                self.stats.boundary_instructions += 1
-                pc_before = warp.stack[-1].pc
-                self.resilience.on_reach_boundary(self, warp, cycle)
-                if (warp.state is not WarpState.ACTIVE
-                        or warp.stack[-1].pc == pc_before):
-                    break
-            return
-        while (warp.state is WarpState.ACTIVE and not warp.finished
-               and warp.next_instruction().op is Op.RB):
+        rb_flags = self.plan.rb_flags
+        while (warp.state is WarpState.ACTIVE and not warp._finished
+               and rb_flags[warp.stack[-1].pc]):
             self.stats.boundary_instructions += 1
-            pc_before = warp.pc
+            pc_before = warp.stack[-1].pc
             self.resilience.on_reach_boundary(self, warp, cycle)
-            if warp.state is not WarpState.ACTIVE or warp.pc == pc_before:
+            if (warp.state is not WarpState.ACTIVE
+                    or warp.stack[-1].pc == pc_before):
                 break
 
     # ------------------------------------------------------------------
@@ -386,23 +368,28 @@ class Sm:
     # ------------------------------------------------------------------
     def tick(self, cycle: int) -> int:
         """Run one cycle; returns the number of instructions issued."""
-        self.resilience.tick(self, cycle)
         tracer = self.tracer
-        if not self.blocks and tracer is None:
-            # No warps to pick from and no stall to attribute (the
-            # failed-pick memo is derived state that ``attach`` resets;
-            # the traced tick still closes the SM's open stall span).
-            return 0
-        if self.plan is None:
-            issuable, issue = self._issuable, self._issue
-        else:
-            issuable, issue = self._issuable_fast, self._issue_fast
         if tracer is not None:
-            return self._tick_traced(cycle, issuable, issue, tracer)
+            self.resilience.tick(self, cycle)
+            return self._tick_traced(cycle, tracer)
+        if self._stall_cause is not None and self.next_event(cycle) > cycle:
+            # Idle elision: this SM classified a stall on its last tick
+            # and cannot issue before a future cycle, so a full tick
+            # would re-derive the same stall cause — account the idle
+            # cycle directly (the ``next_event`` trust of
+            # ``Gpu._fast_forward``, applied per SM).  An elided cycle
+            # skips the resilience tick too.
+            self.account_stall_skip(1)
+            return 0
+        self.resilience.tick(self, cycle)
+        if not self.blocks:
+            # No warps to pick from and no stall to attribute (the
+            # failed-pick memo is derived state that ``attach`` resets).
+            return 0
+        issuable, issue = self._issuable, self._issue
         issued = 0
-        fast = self.plan is not None
         for scheduler in self.schedulers:
-            if fast and scheduler.none_until > cycle:
+            if scheduler.none_until > cycle:
                 # A recent pick failed and nothing that could make a
                 # managed warp ready has happened since (warp versions
                 # and the LSU horizon are unchanged): re-picking would
@@ -416,7 +403,7 @@ class Sm:
                 scheduler.none_until = -1
             warp = scheduler.pick(issuable, cycle)
             if warp is None:
-                if fast and scheduler.pick_pure_on_fail:
+                if scheduler.pick_pure_on_fail:
                     self._memo_failed_pick(scheduler, cycle)
                 continue
             issue(warp, cycle)
@@ -436,28 +423,24 @@ class Sm:
             self._stall_warp = culprit
         return issued
 
-    def _tick_traced(self, cycle: int, issuable, issue, tracer) -> int:
+    def _tick_traced(self, cycle: int, tracer) -> int:
         """``tick`` with event emission; kept out of line so the
         untraced hot path pays only the tracer truthiness check."""
         issued = 0
-        plan = self.plan
+        records = self.plan.records
         for scheduler in self.schedulers:
-            warp = scheduler.pick(issuable, cycle)
+            warp = scheduler.pick(self._issuable, cycle)
             if warp is None:
                 continue
             pc = warp.stack[-1].pc
             retiring = warp.finished
-            issue(warp, cycle)
+            self._issue(warp, cycle)
             issued += 1
             if retiring:
                 tracer.event("warp_retire", cycle, self.id, warp.id)
             else:
-                if plan is not None:
-                    label = plan.records[pc].label
-                else:
-                    label = self.kernel.instructions[pc].op.value
                 tracer.event("issue", cycle, self.id, warp.id,
-                             {"pc": pc, "op": label})
+                             {"pc": pc, "op": records[pc].label})
         if self.busy:
             stats = self.stats
             stats.active_cycles += 1
@@ -540,9 +523,9 @@ class Sm:
     def _warp_stall_cause(self, warp: Warp, cycle: int) -> str | None:
         """This warp's reason for not issuing, or None (DONE warps).
 
-        Computed from the instruction's operand set directly — never
-        from the fast-path ready cache — so the plan-driven and
-        reference paths attribute identically.
+        Computed from the record's scoreboard operands directly, never
+        from the ready cache, so attribution does not depend on when
+        that memo was last refreshed.
         """
         state = warp.state
         if state is WarpState.IN_RBQ:
@@ -554,23 +537,13 @@ class Sm:
         if warp._finished:
             # Issuable as soon as its wakeup passes (retirement slot).
             return "no_ready_warp"
-        if self.plan is not None:
-            rec = self.plan.records[warp.stack[-1].pc]
-            score_ops = rec.score_ops
-            timed = rec.is_timed_mem
-        else:
-            inst = warp.next_instruction()
-            score_ops = list(inst.read_regs()) + list(inst.read_preds())
-            if inst.dst is not None:
-                score_ops.append(inst.dst)
-            timed = (inst.fu is FuClass.MEM
-                     and inst.space is not Space.PARAM)
+        rec = self.plan.records[warp.stack[-1].pc]
         pending = warp.pending
         blocker = None
         blocked_at = cycle
         if pending:
             get = pending.get
-            for operand in score_ops:
+            for operand in rec.score_ops:
                 at = get(operand, 0)
                 if at > blocked_at:
                     blocked_at = at
@@ -582,35 +555,15 @@ class Sm:
             if warp.pending_mem.get(blocker) == pending[blocker]:
                 return "memory_latency"
             return "scoreboard_raw"
-        if timed and self._lsu_free_at > cycle:
+        if rec.is_timed_mem and self._lsu_free_at > cycle:
             return "memory_latency"
         return "no_ready_warp"
 
     def _issuable(self, warp: Warp, cycle: int) -> bool:
-        if warp.state is not WarpState.ACTIVE or warp.wakeup_cycle > cycle:
-            return False
-        if warp.finished:
-            return True  # issue slot used to retire the warp
-        inst = warp.next_instruction()
-        if inst.fu is FuClass.MEM and inst.space is not Space.PARAM \
-                and self._lsu_free_at > cycle:
-            return False
-        return warp.deps_ready(inst, cycle)
-
-    def _latency(self, fu: FuClass) -> int:
-        config = self.config
-        if fu is FuClass.ALU:
-            return config.alu_latency
-        if fu is FuClass.MUL:
-            return config.mul_latency
-        if fu is FuClass.SFU:
-            return config.sfu_latency
-        return config.alu_latency
-
-    def _issuable_fast(self, warp: Warp, cycle: int) -> bool:
-        """Plan-driven ``_issuable``: no isinstance chains, no per-issue
-        tuple construction — the scoreboard operand set, LSU usage, and
-        FU class come precomputed from the dispatch record.
+        """Whether ``warp`` can issue at ``cycle``: active and awake, no
+        operand of its next record still in flight on the scoreboard,
+        and the LSU free if that record is a timed memory access.  The
+        operand set and LSU usage come precomputed from the record.
 
         Shares the version-validated ready cache with ``next_event``: a
         stalled warp rescans its scoreboard once per state change rather
@@ -646,12 +599,12 @@ class Sm:
 
         Sound because every path that makes a warp issuable earlier than
         this bound also bumps its ``version`` (issue prologs, ``wake``,
-        ``mark_pending``, state transitions back to ACTIVE, snapshot
-        restores) or raises ``_lsu_free_at`` — both covered by the
-        stamp, and versions only ever increase so the sum cannot alias.
+        state transitions back to ACTIVE, snapshot restores) or raises
+        ``_lsu_free_at`` — both covered by the stamp, and versions only
+        ever increase so the sum cannot alias.
         Non-ACTIVE warps need no bound: their return to ACTIVE always
         goes through ``wake``.  The failed pick just scanned every warp
-        with ``_issuable_fast``, so ready caches of awake unfinished
+        with ``_issuable``, so ready caches of awake unfinished
         warps are fresh; warps still before their wakeup are bounded by
         ``wakeup_cycle`` itself.
         """
@@ -676,8 +629,8 @@ class Sm:
         scheduler.none_vstamp = vsum
         scheduler.none_lsu = lsu
 
-    def _issue_fast(self, warp: Warp, cycle: int) -> None:
-        """Plan-driven ``_issue``: table dispatch over precomputed records."""
+    def _issue(self, warp: Warp, cycle: int) -> None:
+        """Issue ``warp``'s next record: table dispatch over the plan."""
         if warp._finished:
             self._retire(warp, cycle)
             return
@@ -692,6 +645,9 @@ class Sm:
             active = warp.stack[-1].mask & warp._not_exited
             mask = rec.guard(ctx, active)
             access = rec.run(ctx, mask, self.global_mem, warp.block.shared)
+            # In-flight fault surface: a strike can corrupt only what
+            # this region produced and has not yet put at rest in the
+            # ECC-protected register and predicate files.
             if rec.track_reg_write:
                 warp.last_write = rec.dst
                 warp.last_write_pc = warp.stack[-1].pc
@@ -699,12 +655,14 @@ class Sm:
             elif rec.track_pred_write:
                 warp.last_pred_write = rec.dst
                 warp.last_pred_write_pc = warp.stack[-1].pc
-                # A predicate write that aliases its own guard changes
-                # the post-execution mask (which is what the reference
-                # path records); recompute only in that case.
+                # The lanes recorded are the post-execution guard mask,
+                # which differs only for a predicate write that aliases
+                # its own guard; recompute only in that case.
                 warp.last_pred_write_mask = (rec.guard(ctx, active)
                                              if rec.guard_recheck else mask)
             if rec.track_shared_store and access is not None:
+                # Shared words written through the unprotected store
+                # datapath this region.
                 warp.last_shared_write = access.addresses
             liveness = self.liveness
             if liveness is not None:
@@ -713,87 +671,25 @@ class Sm:
                 if access is not None:
                     liveness.note(access, warp.block, cycle)
             if rec.is_timed_mem:
-                self._time_memory_fast(warp, rec, access, cycle)
+                self._time_memory(warp, rec, access, cycle)
             elif rec.dst is not None:
                 warp.pending[rec.dst] = cycle + rec.latency
             warp.advance()
             self._after_pc_change(warp, cycle)
             return
         if kind == K_BRA:
-            warp.take_branch_planned(rec)
+            warp.take_branch(rec)
             self._after_pc_change(warp, cycle)
             return
         if kind == K_BAR:
             self._arrive_barrier(warp, cycle)
             return
         # K_EXIT
-        warp.exit_lanes_planned(rec)
+        warp.exit_lanes(rec)
         if warp._finished:
             self._retire(warp, cycle)
         else:
             self._after_pc_change(warp, cycle)
-
-    def _issue(self, warp: Warp, cycle: int) -> None:
-        if warp.finished:
-            self._retire(warp, cycle)
-            return
-        inst = warp.next_instruction()
-        warp.wake(cycle + 1)
-        warp.insts_since_boundary += 1
-        self.stats.count_issue(inst.fu, inst.shadow, inst.ckpt)
-
-        if inst.op is Op.BRA:
-            reconv = self.reconv.get(warp.pc, len(self.kernel.instructions))
-            warp.take_branch(inst, reconv)
-            self._after_pc_change(warp, cycle)
-            return
-        if inst.op is Op.BAR:
-            self._arrive_barrier(warp, cycle)
-            return
-        if inst.op is Op.EXIT:
-            warp.exit_lanes(inst)
-            if warp.finished:
-                self._retire(warp, cycle)
-            else:
-                self._after_pc_change(warp, cycle)
-            return
-
-        active = warp.active_mask
-        access = execute(inst, warp.ctx, active,
-                         self.global_mem, warp.block.shared)
-        if isinstance(inst.dst, Reg) and not inst.shadow:
-            warp.last_write = inst.dst
-            warp.last_write_pc = warp.pc
-            # Lanes actually written: a strike can only corrupt values in
-            # flight, i.e. in these lanes (the rest are at rest in the
-            # ECC-protected register file).
-            warp.last_write_mask = guard_mask(inst, warp.ctx, active)
-        elif isinstance(inst.dst, Pred) and not inst.shadow:
-            # Predicate produced in flight: a strike can flip the guard
-            # before any consumer reads it (the predicate file itself is
-            # ECC-protected at rest, like the register file).
-            warp.last_pred_write = inst.dst
-            warp.last_pred_write_pc = warp.pc
-            warp.last_pred_write_mask = guard_mask(inst, warp.ctx, active)
-        if (access is not None and access.space is Space.SHARED
-                and access.is_store and not access.is_atomic
-                and not inst.shadow):
-            # Shared-memory words written through the (unprotected) store
-            # datapath this region: the in-flight shared fault surface.
-            warp.last_shared_write = access.addresses
-        liveness = self.liveness
-        if liveness is not None:
-            rows = [reg.index for reg in inst.read_regs()]
-            if rows:
-                liveness.reg_read[warp.id][rows] = cycle
-            if access is not None:
-                liveness.note(access, warp.block, cycle)
-        if inst.fu is FuClass.MEM and inst.space is not Space.PARAM:
-            self._time_memory(warp, inst, access, cycle)
-        else:
-            warp.mark_pending(inst.dst, cycle + self._latency(inst.fu))
-        warp.advance()
-        self._after_pc_change(warp, cycle)
 
     def _after_pc_change(self, warp: Warp, cycle: int) -> None:
         if warp.finished:
@@ -813,52 +709,12 @@ class Sm:
     # ------------------------------------------------------------------
     # Memory timing
     # ------------------------------------------------------------------
-    def _time_memory(self, warp: Warp, inst: Instruction,
-                     access: MemAccess | None, cycle: int) -> None:
-        config = self.config
-        if access is None:  # fully predicated-off memory op
-            warp.mark_pending(inst.dst, cycle + 1)
-            return
-        if access.is_atomic:
-            lanes = len(access.addresses)
-            latency = config.atomic_latency + lanes
-            occupancy = max(1, lanes // 2)
-            self.stats.atomic_ops += lanes
-        elif access.space is Space.SHARED:
-            degree = self._bank_conflict_degree(access.addresses)
-            latency = config.shared_latency + (degree - 1)
-            occupancy = degree
-            self.stats.shared_accesses += 1
-            self.stats.shared_bank_conflicts += degree - 1
-        else:
-            segments = np.unique(access.addresses // config.l1.line_words)
-            occupancy = len(segments)
-            latency = 0
-            for segment in segments:
-                word = int(segment) * config.l1.line_words
-                if self.l1.access(word, is_store=access.is_store):
-                    seg_latency = config.l1_latency
-                elif self.l2.access(word, is_store=access.is_store):
-                    seg_latency = config.l2_latency
-                else:
-                    seg_latency = config.dram_latency
-                latency = max(latency, seg_latency)
-            self.stats.global_transactions += occupancy
-            if self.tracer is not None and latency > config.l1_latency:
-                self.tracer.event("mem_miss", cycle, self.id, warp.id,
-                                  {"latency": latency,
-                                   "segments": occupancy})
-        self._lsu_free_at = max(self._lsu_free_at, cycle) + occupancy
-        if inst.info.is_load or inst.info.is_atomic:
-            warp.mark_pending(inst.dst, cycle + latency)
-            if inst.dst is not None:
-                warp.pending_mem[inst.dst] = cycle + latency
-
-    def _time_memory_fast(self, warp: Warp, rec, access: MemAccess | None,
-                          cycle: int) -> None:
-        """Plan-driven ``_time_memory``: the coalescing and bank-degree
-        helpers work on Python ints, with fast paths for the dominant
-        (uniform / unit-stride) access patterns."""
+    def _time_memory(self, warp: Warp, rec, access: MemAccess | None,
+                     cycle: int) -> None:
+        """LSU occupancy, cache lookups and writeback latency of one
+        timed memory access.  The coalescing and bank-degree helpers
+        work on Python ints, with shortcuts for the dominant (uniform /
+        unit-stride) access patterns."""
         config = self.config
         if access is None:  # fully predicated-off memory op
             if rec.dst is not None:
@@ -903,14 +759,6 @@ class Sm:
             warp.pending[rec.dst] = cycle + latency
             warp.pending_mem[rec.dst] = cycle + latency
 
-    @staticmethod
-    def _bank_conflict_degree(addresses: np.ndarray) -> int:
-        unique = np.unique(addresses)
-        if len(unique) <= 1:
-            return 1
-        _, counts = np.unique(unique % 32, return_counts=True)
-        return int(counts.max())
-
     # ------------------------------------------------------------------
     # Barriers
     # ------------------------------------------------------------------
@@ -954,8 +802,8 @@ class Sm:
     def next_event(self, cycle: int) -> int:
         """Earliest future cycle at which this SM might issue.
 
-        With a plan, each warp's ready cycle is cached and revalidated
-        against its ``version`` counter (bumped by ``Warp.wake`` and
+        Each warp's ready cycle is cached and revalidated against its
+        ``version`` counter (bumped by ``Warp.wake`` and
         scoreboard writes), so a long stall recomputes only the warps
         whose state actually changed.  The LSU bound is applied at scan
         time because ``_lsu_free_at`` is SM-global and changes without
@@ -966,20 +814,7 @@ class Sm:
         computation.
         """
         best = self.resilience.next_event(self)
-        plan = self.plan
-        if plan is None:
-            for warp in self.warps:
-                if warp.state is not WarpState.ACTIVE:
-                    continue
-                if warp.finished:
-                    return cycle + 1
-                inst = warp.next_instruction()
-                ready = max(warp.earliest_dep_cycle(inst), warp.wakeup_cycle)
-                if inst.fu is FuClass.MEM and inst.space is not Space.PARAM:
-                    ready = max(ready, self._lsu_free_at)
-                best = min(best, ready)
-            return best
-        records = plan.records
+        records = self.plan.records
         lsu_free_at = self._lsu_free_at
         for warp in self.warps:
             if warp.state is not WarpState.ACTIVE:
@@ -1029,11 +864,12 @@ def _coalesce_segments(addrs: np.ndarray, line_words: int) -> list[int]:
 
 
 def _bank_degree(addrs: np.ndarray) -> int:
-    """Shared-memory bank conflict degree — semantics of
-    ``Sm._bank_conflict_degree`` on one ``tolist``, with conflict-free
-    fast paths (uniform accesses broadcast; at most 32 consecutive
-    addresses hit 32 distinct banks) and an O(lanes) bucket count
-    instead of two ``np.unique`` sorts in the general case."""
+    """Shared-memory bank conflict degree: the most distinct addresses
+    that fall in one of the 32 banks (1 when at most one distinct
+    address).  Computed on one ``tolist``, with conflict-free fast paths
+    (uniform accesses broadcast; at most 32 consecutive addresses hit 32
+    distinct banks) and an O(lanes) bucket count instead of NumPy
+    sorts in the general case."""
     lanes = addrs.tolist()
     first = lanes[0]
     last = lanes[-1]

@@ -8,8 +8,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import SimError
-from ..isa import Instruction, Kernel, Op, Pred, Reg, Special
-from .functional import LaneContext, guard_mask
+from ..isa import Kernel, Pred, Reg, Special
+from .functional import LaneContext
 
 
 class WarpState(enum.Enum):
@@ -182,35 +182,6 @@ class Warp:
     def finished(self) -> bool:
         return self._finished
 
-    def next_instruction(self) -> Instruction:
-        return self.kernel.instructions[self.pc]
-
-    def deps_ready(self, inst: Instruction, cycle: int) -> bool:
-        """Scoreboard check: sources ready and destination not in flight."""
-        pending = self.pending
-        if not pending:
-            return True
-        for reg in inst.read_regs():
-            if pending.get(reg, 0) > cycle:
-                return False
-        for pred in inst.read_preds():
-            if pending.get(pred, 0) > cycle:
-                return False
-        if inst.dst is not None and pending.get(inst.dst, 0) > cycle:
-            return False
-        return True
-
-    def earliest_dep_cycle(self, inst: Instruction) -> int:
-        """Cycle at which ``deps_ready`` will become true (for fast-forward)."""
-        latest = self.wakeup_cycle
-        for reg in inst.read_regs():
-            latest = max(latest, self.pending.get(reg, 0))
-        for pred in inst.read_preds():
-            latest = max(latest, self.pending.get(pred, 0))
-        if inst.dst is not None:
-            latest = max(latest, self.pending.get(inst.dst, 0))
-        return latest
-
     def retire_pending(self, cycle: int) -> None:
         """Drop scoreboard entries whose values are now available."""
         pending = self.pending
@@ -220,11 +191,6 @@ class Warp:
                     self.pending = {k: c for k, c in pending.items()
                                     if c > cycle}
                     return
-
-    def mark_pending(self, dst, ready_cycle: int) -> None:
-        if dst is not None:
-            self.pending[dst] = ready_cycle
-            self.version += 1
 
     def wake(self, cycle: int) -> None:
         """Set the earliest issue cycle and invalidate the ready cache."""
@@ -243,61 +209,10 @@ class Warp:
         while len(self.stack) > 1 and self.pc == self.stack[-1].reconv_pc:
             self.stack.pop()
 
-    def take_branch(self, inst: Instruction, reconv_pc: int) -> None:
-        """Resolve a branch (possibly divergent) and update the SIMT stack."""
-        target = self.kernel.target_of(inst)
-        active = self.active_mask
-        if inst.guard is None:
-            self.pc = target
-            self._maybe_reconverge()
-            return
-        taken = guard_mask(inst, self.ctx, active)
-        not_taken = active & ~taken
-        if not not_taken.any():
-            self.pc = target
-            self._maybe_reconverge()
-            return
-        if not taken.any():
-            self.advance()
-            return
-        # Divergence: current entry reconverges at reconv_pc; run the
-        # taken path first, then the fall-through, then reconverge.
-        # A path that starts *at* the reconvergence point is empty (an
-        # if-without-else arm) — pushing it would execute the join point
-        # with a partial mask, so those lanes simply wait in the outer
-        # entry instead.
-        fallthrough = self.pc + 1
-        self.stack[-1].pc = reconv_pc
-        if fallthrough != reconv_pc:
-            self.stack.append(StackEntry(reconv_pc, fallthrough, not_taken))
-        if target != reconv_pc:
-            self.stack.append(StackEntry(reconv_pc, target, taken))
-        self._maybe_reconverge()
-
-    def exit_lanes(self, inst: Instruction) -> None:
-        """Retire lanes reaching EXIT; unwind empty stack entries."""
-        mask = guard_mask(inst, self.ctx, self.active_mask)
-        self.exited = self.exited | mask
-        if inst.guard is not None:
-            self.advance()
-        self._pop_empty()
-
-    # ------------------------------------------------------------------
-    # Plan-driven control flow (semantics identical to the reference
-    # methods above; the branch target, reconvergence PC, and guard
-    # policy come pre-resolved from the PlannedInst record instead of
-    # being re-derived per dynamic issue).
-    # ------------------------------------------------------------------
-    def _planned_guard(self, rec, active: np.ndarray) -> np.ndarray:
-        index = rec.guard_index
-        if index is None:
-            return active
-        guard = self.ctx.preds[index]
-        if rec.guard_sense:
-            return active & guard
-        return active & ~guard
-
-    def take_branch_planned(self, rec) -> None:
+    def take_branch(self, rec) -> None:
+        """Resolve a branch (possibly divergent) and update the SIMT
+        stack; target, reconvergence PC and guard come from the
+        branch's :class:`~repro.sim.plan.PlannedInst` record."""
         entry = self.stack[-1]
         target = rec.target
         if rec.guard_index is None:
@@ -305,7 +220,7 @@ class Warp:
             self._maybe_reconverge()
             return
         active = entry.mask & self._not_exited
-        taken = self._planned_guard(rec, active)
+        taken = rec.guard(self.ctx, active)
         not_taken = active & ~taken
         if not np.count_nonzero(not_taken):
             self.stack[-1].pc = target
@@ -314,6 +229,12 @@ class Warp:
         if not np.count_nonzero(taken):
             self.advance()
             return
+        # Divergence: current entry reconverges at reconv_pc; run the
+        # taken path first, then the fall-through, then reconverge.
+        # A path that starts *at* the reconvergence point is empty (an
+        # if-without-else arm) — pushing it would execute the join point
+        # with a partial mask, so those lanes simply wait in the outer
+        # entry instead.
         reconv_pc = rec.reconv_pc
         fallthrough = self.stack[-1].pc + 1
         self.stack[-1].pc = reconv_pc
@@ -323,10 +244,10 @@ class Warp:
             self.stack.append(StackEntry(reconv_pc, target, taken))
         self._maybe_reconverge()
 
-    def exit_lanes_planned(self, rec) -> None:
+    def exit_lanes(self, rec) -> None:
+        """Retire lanes reaching EXIT; unwind empty stack entries."""
         active = self.stack[-1].mask & self._not_exited
-        mask = self._planned_guard(rec, active)
-        self.exited = self._exited | mask
+        self.exited = self._exited | rec.guard(self.ctx, active)
         if rec.guard_index is not None:
             self.advance()
         self._pop_empty()

@@ -191,10 +191,22 @@ def interpret_kernel(kernel: Kernel, launch: LaunchConfig,
 # ----------------------------------------------------------------------
 # Run helpers
 # ----------------------------------------------------------------------
+def prepared_launch(compiled, instance):
+    """``instance``'s launch geometry and fresh memory, prepared for
+    ``compiled`` (scheme parameters and scratch memory appended)."""
+    mem = instance.fresh_memory()
+    params, mem = prepare_launch(
+        compiled, instance.launch.params, mem,
+        instance.launch.num_blocks, instance.launch.threads_per_block)
+    launch = LaunchConfig(grid=instance.launch.grid,
+                          block=instance.launch.block, params=params)
+    return launch, mem
+
+
 def run_compiled(instance, scheme_name: str, wcdl: int = 20,
                  scheduler: str = "GTO", gpu_config=None,
-                 injector=None, sanitizer=None, fast: bool = True,
-                 tracer=None, **launch_kwargs):
+                 injector=None, sanitizer=None, tracer=None,
+                 **launch_kwargs):
     """Compile a workload instance under a scheme and simulate it.
 
     Returns (RunResult, final_memory, verified).
@@ -206,15 +218,10 @@ def run_compiled(instance, scheme_name: str, wcdl: int = 20,
     runtime = FlameRuntime(wcdl) if scheme.uses_sensor_runtime \
         else NULL_RESILIENCE
     gpu = Gpu(gpu_config or GTX480, resilience=runtime, scheduler=scheduler,
-              sanitizer=sanitizer, fast=fast, tracer=tracer)
+              sanitizer=sanitizer, tracer=tracer)
     if injector is not None:
         gpu.fault_injector = injector
-    mem = instance.fresh_memory()
-    params, mem = prepare_launch(
-        compiled, instance.launch.params, mem,
-        instance.launch.num_blocks, instance.launch.threads_per_block)
-    launch = LaunchConfig(grid=instance.launch.grid,
-                          block=instance.launch.block, params=params)
+    launch, mem = prepared_launch(compiled, instance)
     result = gpu.launch(compiled.kernel, launch, mem,
                         regs_per_thread=compiled.regs_per_thread,
                         **launch_kwargs)

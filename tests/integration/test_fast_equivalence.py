@@ -1,48 +1,31 @@
-"""A/B proof that the decode-once fast path is byte-identical to the
-reference interpreter: every workload's tiny instance, plus a scheduler ×
-resilience-scheme matrix, must produce the same cycle count, the same
-stats dictionary, and the same final global memory bytes."""
+"""A/B proof that the planned issue path is byte-identical to the
+decode-per-issue oracle (``tests.oracle``): every workload's tiny
+instance, a scheduler × resilience-scheme matrix and seeded strikes must
+produce the same cycle count, the same stats dictionary, and the same
+final global memory bytes."""
 
-import numpy as np
 import pytest
 
-from repro.arch import GTX480
-from repro.compiler import compile_kernel, prepare_launch
+from repro.compiler import compile_kernel
 from repro.core import runtime_scheme_by_name
-from repro.sim import Gpu, LaunchConfig
 from repro.workloads import WORKLOADS, workload_by_name
-
-
-def run_scheme(instance, scheme_name: str, scheduler: str, fast: bool,
-               wcdl: int = 20, injector=None):
-    """Compile + launch one instance; return (cycles, stats dict, bytes)."""
-    rscheme = runtime_scheme_by_name(scheme_name)
-    compiled = compile_kernel(instance.kernel, rscheme.compile_scheme,
-                              wcdl=wcdl)
-    runtime = rscheme.build(wcdl=wcdl)
-    gpu = Gpu(GTX480, resilience=runtime, scheduler=scheduler, fast=fast)
-    gpu.fault_injector = injector
-    mem = instance.fresh_memory()
-    params, mem = prepare_launch(
-        compiled, instance.launch.params, mem,
-        instance.launch.num_blocks, instance.launch.threads_per_block)
-    launch = LaunchConfig(grid=instance.launch.grid,
-                          block=instance.launch.block, params=params)
-    result = gpu.launch(compiled.kernel, launch, mem,
-                        regs_per_thread=compiled.regs_per_thread)
-    return result.cycles, result.stats.as_dict(), mem.tobytes()
+from tests.conftest import prepared_launch
+from tests.oracle import assert_matches_oracle
 
 
 def assert_paths_identical(instance, scheme: str, scheduler: str,
-                           injector=None):
-    make = injector or (lambda: None)
-    fast = run_scheme(instance, scheme, scheduler, fast=True,
-                      injector=make())
-    ref = run_scheme(instance, scheme, scheduler, fast=False,
-                     injector=make())
-    assert fast[0] == ref[0], "cycle counts diverge"
-    assert fast[1] == ref[1], "stats diverge"
-    assert fast[2] == ref[2], "final global memory diverges"
+                           injector=None, wcdl: int = 20):
+    """Compile ``instance`` for ``scheme``'s runtime and hold the planned
+    launch to the oracle; returns the planned run's result."""
+    rscheme = runtime_scheme_by_name(scheme)
+    compiled = compile_kernel(instance.kernel, rscheme.compile_scheme,
+                              wcdl=wcdl)
+    launch, mem = prepared_launch(compiled, instance)
+    return assert_matches_oracle(
+        compiled.kernel, launch, mem,
+        regs_per_thread=compiled.regs_per_thread,
+        resilience=rscheme.build(wcdl=wcdl), scheduler=scheduler,
+        injector=injector)
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
@@ -110,7 +93,7 @@ class TestMemoryWindows:
 
     def test_strike_on_load_inside_window(self):
         instance = workload_by_name("LBM").instance("tiny")
-        for cycle in LBM_BASELINE_SPAN:
+        for cycle in (*LBM_BASELINE_SPAN, 300):
             assert_paths_identical(instance, "baseline", "GTO",
                                    injector=_strike(cycle))
 
@@ -145,6 +128,7 @@ class TestMidSuperblockStrikes:
         """The full rollback runtime: the strike triggers sensing and a
         rollback whose replay re-executes the struck region."""
         instance = workload_by_name("SGEMM").instance("tiny")
-        assert_paths_identical(
-            instance, "flame", "GTO",
-            injector=_strike(SGEMM_FLAME_SPAN[1]))
+        for cycle in (SGEMM_FLAME_SPAN[1], 400):
+            assert_paths_identical(instance, "flame", "GTO",
+                                   injector=_strike(cycle))
+

@@ -1,14 +1,22 @@
-"""Lane-level value semantics of every opcode."""
+"""Lane-level value semantics of every opcode.
+
+Each instruction runs through its plan record (``repro.sim.plan``) and
+through the oracle's decode-per-issue ``execute`` on copies of the same
+state; both must leave identical registers, predicates and memory.
+"""
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.arch import GTX480
 from repro.isa import (AtomOp, CmpOp, Imm, Instruction, Op, Pred, Reg, Space,
                        Special)
-from repro.sim import LaneContext, execute
+from repro.sim import LaneContext
+from repro.sim.plan import PlannedInst
+from tests.oracle import execute
 
-WARP = 32
+WARP = GTX480.warp_size
 
 
 def make_ctx(num_regs=8, num_preds=4):
@@ -22,10 +30,29 @@ def full():
 
 
 def run(inst, ctx=None, active=None, gmem=None, smem=None):
+    """Apply ``inst`` through its plan record; the oracle's ``execute``
+    must produce the same state.  Returns ``(ctx, access)``."""
     ctx = ctx or make_ctx()
-    return ctx, execute(inst, ctx, active if active is not None else full(),
-                        gmem if gmem is not None else np.zeros(128),
-                        smem if smem is not None else np.zeros(64))
+    active = active if active is not None else full()
+    gmem = gmem if gmem is not None else np.zeros(128)
+    smem = smem if smem is not None else np.zeros(64)
+    ref_ctx = make_ctx(len(ctx.regs), len(ctx.preds))
+    ref_ctx.regs[:] = ctx.regs
+    ref_ctx.preds[:] = ctx.preds
+    ref_gmem, ref_smem = gmem.copy(), smem.copy()
+    rec = PlannedInst(0, inst, None, GTX480, {})
+    access = rec.run(ctx, rec.guard(ctx, active), gmem, smem)
+    ref_access = execute(inst, ref_ctx, active, ref_gmem, ref_smem)
+    assert ctx.regs.tobytes() == ref_ctx.regs.tobytes()
+    assert ctx.preds.tobytes() == ref_ctx.preds.tobytes()
+    assert gmem.tobytes() == ref_gmem.tobytes()
+    assert smem.tobytes() == ref_smem.tobytes()
+    assert (access is None) == (ref_access is None)
+    if access is not None:
+        assert (access.space, access.is_store, access.is_atomic) == (
+            ref_access.space, ref_access.is_store, ref_access.is_atomic)
+        assert np.array_equal(access.addresses, ref_access.addresses)
+    return ctx, access
 
 
 class TestArithmetic:
@@ -113,8 +140,8 @@ class TestMasking:
         ctx = make_ctx()
         ctx.regs[0][:] = 42.0
         active = np.arange(WARP) < 8
-        execute(Instruction(op=Op.MOV, dst=Reg(0), srcs=(Imm(1.0),)),
-                ctx, active, np.zeros(8), np.zeros(8))
+        run(Instruction(op=Op.MOV, dst=Reg(0), srcs=(Imm(1.0),)),
+            ctx, active)
         assert (ctx.regs[0][:8] == 1.0).all()
         assert (ctx.regs[0][8:] == 42.0).all()
 
@@ -122,18 +149,16 @@ class TestMasking:
         ctx = make_ctx()
         ctx.preds[0] = np.arange(WARP) % 2 == 0
         active = np.arange(WARP) < 16
-        execute(Instruction(op=Op.MOV, dst=Reg(0), srcs=(Imm(1.0),),
-                            guard=Pred(0)), ctx, active,
-                np.zeros(8), np.zeros(8))
+        run(Instruction(op=Op.MOV, dst=Reg(0), srcs=(Imm(1.0),),
+                        guard=Pred(0)), ctx, active)
         written = ctx.regs[0] == 1.0
         assert written.sum() == 8  # even lanes below 16
 
     def test_inverted_guard(self):
         ctx = make_ctx()
         ctx.preds[0] = np.arange(WARP) < 4
-        execute(Instruction(op=Op.MOV, dst=Reg(0), srcs=(Imm(1.0),),
-                            guard=Pred(0), guard_sense=False),
-                ctx, full(), np.zeros(8), np.zeros(8))
+        run(Instruction(op=Op.MOV, dst=Reg(0), srcs=(Imm(1.0),),
+                        guard=Pred(0), guard_sense=False), ctx)
         assert (ctx.regs[0][:4] == 0.0).all()
         assert (ctx.regs[0][4:] == 1.0).all()
 

@@ -1,14 +1,15 @@
-"""Strided memory access patterns: the fast path's coalescing and
+"""Strided memory access patterns: the planned path's coalescing and
 bank-degree shortcuts (``sm._coalesce_segments``, ``sm._bank_degree``)
-must time every lane pattern exactly as the reference interpreter's
-``np.unique``-based model does."""
+must time every lane pattern exactly as the oracle's ``np.unique``-based
+model does."""
 
 import numpy as np
 from hypothesis import given, strategies as st
 
 from repro.isa import CmpOp, KernelBuilder
-from repro.sim import LaunchConfig, run_kernel
-from repro.sim.sm import Sm, _bank_degree, _coalesce_segments
+from repro.sim import LaunchConfig
+from repro.sim.sm import _bank_degree, _coalesce_segments
+from tests.oracle import assert_matches_oracle, bank_conflict_degree
 
 
 @st.composite
@@ -39,8 +40,8 @@ def lane_addresses(draw):
 
 
 class TestHelpersMatchNumpy:
-    """The fast path's Python-int helpers against the NumPy expressions
-    the reference interpreter times with."""
+    """The planned path's Python-int helpers against the NumPy
+    expressions the oracle times with."""
 
     @given(lane_addresses(), st.integers(1, 64))
     def test_coalesce_segments_is_unique_of_lines(self, addrs, line_words):
@@ -51,22 +52,13 @@ class TestHelpersMatchNumpy:
     @given(lane_addresses())
     def test_bank_degree_matches_reference(self, addrs):
         degree = _bank_degree(addrs)
-        assert degree == Sm._bank_conflict_degree(addrs)
+        assert degree == bank_conflict_degree(addrs)
         assert type(degree) is int
 
 
 class TestClosedFormTiming:
-    """Fast vs reference timing on strided sweeps: same cycles, memory
-    transactions, bank conflicts and bytes."""
-
-    def _identical(self, kernel, launch, mem):
-        fast, ref = mem.copy(), mem.copy()
-        a = run_kernel(kernel, launch, fast, fast=True)
-        b = run_kernel(kernel, launch, ref, fast=False)
-        assert a.cycles == b.cycles
-        assert a.stats.global_transactions == b.stats.global_transactions
-        assert a.stats.shared_bank_conflicts == b.stats.shared_bank_conflicts
-        assert fast.tobytes() == ref.tobytes()
+    """Planned vs oracle timing on strided sweeps: same cycles, stats
+    (memory transactions and bank conflicts among them) and bytes."""
 
     def test_strided_sweep_matrix(self):
         # Contiguous (±1), full-warp line-stride sweeps (±32, 64) and
@@ -81,7 +73,7 @@ class TestClosedFormTiming:
             kernel = b.build()
             launch = LaunchConfig(grid=(1, 1), block=(64, 1),
                                   params=(2048.0,))
-            self._identical(kernel, launch, np.zeros(8192))
+            assert_matches_oracle(kernel, launch, np.zeros(8192))
 
     def test_shared_bank_degrees(self):
         for stride in (1, 2, 4, 8, 16, 32):
@@ -94,7 +86,7 @@ class TestClosedFormTiming:
             b.st_global(i, 0.0)
             kernel = b.build()
             launch = LaunchConfig(grid=(1, 1), block=(64, 1), params=())
-            self._identical(kernel, launch, np.zeros(256))
+            assert_matches_oracle(kernel, launch, np.zeros(256))
 
     def test_guard_masked_subset_falls_back(self):
         # A masked access is a non-contiguous lane subset of a
@@ -106,4 +98,4 @@ class TestClosedFormTiming:
         b.st_global(b.add(ptr, i), 1.0, guard=odd)
         kernel = b.build()
         launch = LaunchConfig(grid=(1, 1), block=(64, 1), params=(64.0,))
-        self._identical(kernel, launch, np.zeros(256))
+        assert_matches_oracle(kernel, launch, np.zeros(256))

@@ -1,5 +1,5 @@
-"""Decode-once execution plans: caching, invalidation, and fast-path
-equivalence with the reference interpreter on targeted micro-kernels."""
+"""Decode-once execution plans: caching, invalidation, and agreement
+with the decode-per-issue oracle on targeted micro-kernels."""
 
 import numpy as np
 import pytest
@@ -7,22 +7,10 @@ import pytest
 from repro.arch import GTX480
 from repro.isa import (AtomOp, CmpOp, Imm, Instruction, KernelBuilder, Op,
                        reconvergence_table_for)
-from repro.sim import LaunchConfig, run_kernel
-from repro.sim.plan import (ExecPlan, K_BAR, K_BRA, K_EXIT, K_VALUE,
-                            PLAN_CACHE_SIZE, _imm_vector, get_plan)
-
-
-def both_paths(kernel, launch, mem, **kwargs):
-    """Run fast and reference paths on copies of ``mem``; assert cycles,
-    stats, and final memory are byte-identical; return the fast result."""
-    fast_mem = mem.copy()
-    ref_mem = mem.copy()
-    fast = run_kernel(kernel, launch, fast_mem, fast=True, **kwargs)
-    ref = run_kernel(kernel, launch, ref_mem, fast=False, **kwargs)
-    assert fast.cycles == ref.cycles
-    assert fast.stats.as_dict() == ref.stats.as_dict()
-    assert fast_mem.tobytes() == ref_mem.tobytes()
-    return fast
+from repro.sim import Gpu, LaunchConfig
+from repro.sim.plan import (K_BAR, K_BRA, K_EXIT, K_VALUE, PLAN_CACHE_SIZE,
+                            _imm_vector, get_plan)
+from tests.oracle import assert_matches_oracle, execute, oracle_gpu
 
 
 class TestPlanCaching:
@@ -41,6 +29,14 @@ class TestPlanCaching:
         fresh = get_plan(saxpy_kernel, GTX480)
         assert fresh is not stale
         assert get_plan(saxpy_kernel, GTX480) is fresh
+
+    def test_launch_installs_plan(self, saxpy_kernel):
+        launch = LaunchConfig(grid=(1, 1), block=(32, 1),
+                              params=(16, 2.0, 0, 32))
+        gpu = Gpu(GTX480)
+        gpu.launch(saxpy_kernel, launch, np.zeros(128))
+        plan = get_plan(saxpy_kernel, GTX480)
+        assert all(sm.plan is plan for sm in gpu.sms)
 
     def test_kind_classification(self, barrier_kernel):
         plan = get_plan(barrier_kernel, GTX480)
@@ -139,24 +135,6 @@ class TestImmVectors:
         assert _imm_vector(16, 1.0).shape == (16,)
 
 
-class TestFastFlagPlumbing:
-    def test_fast_false_leaves_sm_unplanned(self, saxpy_kernel):
-        from repro.sim import Gpu
-        launch = LaunchConfig(grid=(1, 1), block=(32, 1),
-                              params=(16, 2.0, 0, 32))
-        gpu = Gpu(GTX480, fast=False)
-        gpu.launch(saxpy_kernel, launch, np.zeros(128))
-        assert all(sm.plan is None for sm in gpu.sms)
-
-    def test_fast_true_installs_plan(self, saxpy_kernel):
-        from repro.sim import Gpu
-        launch = LaunchConfig(grid=(1, 1), block=(32, 1),
-                              params=(16, 2.0, 0, 32))
-        gpu = Gpu(GTX480)
-        gpu.launch(saxpy_kernel, launch, np.zeros(128))
-        assert all(isinstance(sm.plan, ExecPlan) for sm in gpu.sms)
-
-
 class TestMicroKernelEquivalence:
     def test_saxpy(self, saxpy_kernel):
         launch = LaunchConfig(grid=(4, 1), block=(64, 1),
@@ -164,20 +142,20 @@ class TestMicroKernelEquivalence:
         mem = np.zeros(512)
         mem[:200] = np.arange(200.0)
         mem[256:456] = 1.0
-        both_paths(saxpy_kernel, launch, mem)
+        assert_matches_oracle(saxpy_kernel, launch, mem)
 
     def test_divergent_loop(self, loop_kernel):
         launch = LaunchConfig(grid=(2, 1), block=(48, 1),
                               params=(70, 0, 128))
         mem = np.zeros(256)
         mem[:70] = np.arange(70.0) - 30.0
-        both_paths(loop_kernel, launch, mem)
+        assert_matches_oracle(loop_kernel, launch, mem)
 
     def test_barrier_and_shared(self, barrier_kernel):
         launch = LaunchConfig(grid=(2, 1), block=(64, 1), params=(0, 128))
         mem = np.zeros(256)
         mem[:128] = np.arange(128.0)
-        both_paths(barrier_kernel, launch, mem)
+        assert_matches_oracle(barrier_kernel, launch, mem)
 
     def test_atomics_with_conflicts(self):
         b = KernelBuilder("atom", num_params=1, shared_words=4)
@@ -195,10 +173,10 @@ class TestMicroKernelEquivalence:
         b.atom_global(AtomOp.ADD, b.add(out, 7.0), old_min)
         kernel = b.build()
         launch = LaunchConfig(grid=(2, 1), block=(64, 1), params=(0,))
-        both_paths(kernel, launch, np.zeros(16))
+        assert_matches_oracle(kernel, launch, np.zeros(16))
 
     def test_predicate_aliasing_guard(self):
-        # A guarded SETP writing its own guard predicate: the fast path
+        # A guarded SETP writing its own guard predicate: the plan
         # must recompute the post-execution mask (guard_recheck).
         b = KernelBuilder("alias", num_params=1)
         (out,) = b.params(1)
@@ -213,7 +191,7 @@ class TestMicroKernelEquivalence:
         plan = get_plan(kernel, GTX480)
         assert any(rec.guard_recheck for rec in plan.records)
         launch = LaunchConfig(grid=(1, 1), block=(32, 1), params=(0,))
-        both_paths(kernel, launch, np.zeros(64))
+        assert_matches_oracle(kernel, launch, np.zeros(64))
 
     def test_sfu_and_alu_coverage(self):
         b = KernelBuilder("mathy", num_params=1)
@@ -236,7 +214,7 @@ class TestMicroKernelEquivalence:
         b.st_global(b.add(out, i), acc)
         kernel = b.build()
         launch = LaunchConfig(grid=(1, 1), block=(32, 1), params=(0,))
-        both_paths(kernel, launch, np.zeros(64))
+        assert_matches_oracle(kernel, launch, np.zeros(64))
 
     def test_strided_and_scattered_accesses(self):
         # Unit-stride, uniform, and scattered loads in one kernel, so the
@@ -254,7 +232,7 @@ class TestMicroKernelEquivalence:
         launch = LaunchConfig(grid=(1, 1), block=(32, 1), params=(64,))
         mem = np.zeros(128)
         mem[:64] = np.arange(64.0)
-        result = both_paths(kernel, launch, mem)
+        result = assert_matches_oracle(kernel, launch, mem)
         assert result.stats.global_transactions > 0
 
     def test_partial_trailing_warp(self, saxpy_kernel):
@@ -262,12 +240,12 @@ class TestMicroKernelEquivalence:
                               params=(40, 1.5, 0, 64))
         mem = np.zeros(128)
         mem[:40] = 1.0
-        both_paths(saxpy_kernel, launch, mem)
+        assert_matches_oracle(saxpy_kernel, launch, mem)
 
 
 class TestOutOfBoundsParity:
     """The plan closures' one-reduction bounds check raises exactly the
-    reference interpreter's ``SimError``: the message becomes the
+    oracle's ``SimError``: the message becomes the
     ``detail`` of a DUE-crash journal row, so it must not depend on the
     execution path."""
 
@@ -297,19 +275,18 @@ class TestOutOfBoundsParity:
                            space=space, atom_op=AtomOp.ADD)
 
     def _both(self, inst, addrs, active):
-        """Run the reference ``execute`` and the plan closure on equal
+        """Run the oracle's ``execute`` and the plan closure on equal
         inputs; return each side's (error text or None, ctx, gmem, smem)."""
         from repro.errors import SimError
-        from repro.sim import execute
         from repro.sim.plan import _build_run
 
         outcomes = []
-        for fast in (False, True):
+        for planned in (False, True):
             ctx = self._ctx(addrs)
             gmem = np.arange(self.SIZE, dtype=float)
             smem = np.arange(self.SIZE, dtype=float) * 2.0
             try:
-                if fast:
+                if planned:
                     _build_run(inst, self.WARP)(ctx, active, gmem, smem)
                 else:
                     execute(inst, ctx, active, gmem, smem)
@@ -328,10 +305,10 @@ class TestOutOfBoundsParity:
         addrs[6] = bad
         active = (np.ones(self.WARP, dtype=bool) if full_mask
                   else np.arange(self.WARP) % 3 == 0)  # lane 6 active
-        (ref_err, *_), (fast_err, *_) = self._both(
+        (ref_err, *_), (plan_err, *_) = self._both(
             self._inst(op, space), addrs, active)
         assert ref_err is not None and "out-of-bounds" in ref_err
-        assert fast_err == ref_err
+        assert plan_err == ref_err
 
     @pytest.mark.parametrize("op", ["ld", "st", "atom"])
     @pytest.mark.parametrize("space", ["global", "shared"])
@@ -339,11 +316,11 @@ class TestOutOfBoundsParity:
         addrs = np.arange(self.WARP, dtype=float)
         addrs[7] = -5.0
         active = np.arange(self.WARP) % 3 == 0  # lane 7 inactive
-        ref, fast = self._both(self._inst(op, space), addrs, active)
-        assert ref[0] is None and fast[0] is None
-        assert np.array_equal(ref[1].regs, fast[1].regs)
-        assert ref[2].tobytes() == fast[2].tobytes()
-        assert ref[3].tobytes() == fast[3].tobytes()
+        ref, plan = self._both(self._inst(op, space), addrs, active)
+        assert ref[0] is None and plan[0] is None
+        assert np.array_equal(ref[1].regs, plan[1].regs)
+        assert ref[2].tobytes() == plan[2].tobytes()
+        assert ref[3].tobytes() == plan[3].tobytes()
 
     def test_launch_level_error_matches(self):
         from repro.errors import SimError
@@ -355,9 +332,9 @@ class TestOutOfBoundsParity:
         kernel = b.build()
         launch = LaunchConfig(grid=(1, 1), block=(32, 1), params=(40.0,))
         texts = []
-        for fast in (True, False):
+        for gpu in (Gpu(GTX480), oracle_gpu(GTX480)):
             with pytest.raises(SimError) as info:
-                run_kernel(kernel, launch, np.zeros(64), fast=fast)
+                gpu.launch(kernel, launch, np.zeros(64))
             texts.append(str(info.value))
         assert texts[0] == texts[1]
         assert "addr range [40, 71], size 64" in texts[0]

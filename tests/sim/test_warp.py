@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.arch import GTX480
 from repro.isa import CmpOp, Imm, Instruction, KernelBuilder, Op, Reg
 from repro.sim import (LaunchConfig, StackEntry, Warp, WarpSnapshot,
                        WarpState, run_kernel)
+from repro.sim.plan import PlannedInst
+from tests.oracle.sm import deps_ready, earliest_dep_cycle, mark_pending
 
 
 def make_warp(kernel, block_threads=32):
@@ -33,35 +36,38 @@ def diverging_kernel():
 
 
 class TestScoreboard:
+    """The oracle's scoreboard rules, which the planned readiness check
+    (``Sm._issuable`` over ``PlannedInst.score_ops``) is held to."""
+
     def test_pending_blocks_dependents(self):
         kernel = diverging_kernel()
         warp = make_warp(kernel)
         inst = Instruction(op=Op.ADD, dst=Reg(2), srcs=(Reg(0), Reg(1)))
-        warp.mark_pending(Reg(0), ready_cycle=10)
-        assert not warp.deps_ready(inst, cycle=5)
-        assert warp.deps_ready(inst, cycle=10)
+        mark_pending(warp, Reg(0), ready_cycle=10)
+        assert not deps_ready(warp, inst, cycle=5)
+        assert deps_ready(warp, inst, cycle=10)
 
     def test_waw_blocks(self):
         kernel = diverging_kernel()
         warp = make_warp(kernel)
         inst = Instruction(op=Op.MOV, dst=Reg(0), srcs=(Imm(1),))
-        warp.mark_pending(Reg(0), ready_cycle=8)
-        assert not warp.deps_ready(inst, cycle=4)
+        mark_pending(warp, Reg(0), ready_cycle=8)
+        assert not deps_ready(warp, inst, cycle=4)
 
     def test_retire_pending_drops_ready(self):
         warp = make_warp(diverging_kernel())
-        warp.mark_pending(Reg(0), 5)
-        warp.mark_pending(Reg(1), 15)
+        warp.pending[Reg(0)] = 5
+        warp.pending[Reg(1)] = 15
         warp.retire_pending(10)
         assert Reg(0) not in warp.pending
         assert Reg(1) in warp.pending
 
     def test_earliest_dep_cycle(self):
         warp = make_warp(diverging_kernel())
-        warp.mark_pending(Reg(0), 7)
-        warp.mark_pending(Reg(1), 12)
+        mark_pending(warp, Reg(0), 7)
+        mark_pending(warp, Reg(1), 12)
         inst = Instruction(op=Op.ADD, dst=Reg(2), srcs=(Reg(0), Reg(1)))
-        assert warp.earliest_dep_cycle(inst) == 12
+        assert earliest_dep_cycle(warp, inst) == 12
 
 
 class TestPartialWarps:
@@ -72,7 +78,8 @@ class TestPartialWarps:
     def test_finished_when_all_real_lanes_exit(self):
         kernel = diverging_kernel()
         warp = make_warp(kernel, block_threads=20)
-        warp.exit_lanes(Instruction(op=Op.EXIT))
+        warp.exit_lanes(PlannedInst(0, Instruction(op=Op.EXIT), kernel,
+                                    GTX480, {}))
         assert warp.finished
 
 
