@@ -12,7 +12,7 @@ from .injection import (ALL_FAULT_SITES, FAULT_SITES, FaultInjector,
                         register_fault_site)
 from .rbq import RbqEntry, RegionBoundaryQueue
 from .rpt import RecoveryPcTable
-from .runtime import FlameRuntime, FlameSmRuntime
+from .runtime import FlameRuntime
 from .schemes import (RUNTIME_SCHEMES, RuntimeScheme, build_runtime,
                       campaign_schemes, default_campaign_schemes,
                       register_scheme, runtime_scheme_by_name)
@@ -20,9 +20,9 @@ from .schemes import (RUNTIME_SCHEMES, RuntimeScheme, build_runtime,
 __all__ = [
     "ALL_FAULT_SITES", "AbftSgemmRuntime", "CampaignJournal", "CampaignSpec",
     "CellAggregate", "DmrRuntime", "FAULT_SITES", "FaultInjector",
-    "FaultSite", "FlameRuntime", "FlameSmRuntime", "HardwareCost",
-    "InjectionRecord", "PartialThreadRuntime", "RUNTIME_SCHEMES", "RbqEntry",
-    "RecoveryPcTable", "RegionBoundaryQueue", "RuntimeScheme", "TrialResult",
+    "FaultSite", "FlameRuntime", "HardwareCost", "InjectionRecord",
+    "PartialThreadRuntime", "RUNTIME_SCHEMES", "RbqEntry", "RecoveryPcTable",
+    "RegionBoundaryQueue", "RuntimeScheme", "TrialResult",
     "TrialSpec", "aggregate", "build_runtime", "campaign_schemes",
     "default_campaign_schemes", "fault_site_by_name", "flame_hardware_cost",
     "register_fault_site", "register_scheme", "run_trial",

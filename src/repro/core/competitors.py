@@ -13,10 +13,10 @@ All three share one mechanism — *compare at region end*: when a warp
 crosses an idempotent-region boundary it parks (``IN_RBQ``) for the
 scheme's check latency; a strike recorded against the warp since its
 last verified boundary fails the check and triggers recovery through
-the same :class:`RecoveryPcTable` machinery Flame uses.  Unlike Flame
-there is no sensor and no conveyor: detection rides the redundant
-computation itself, which is exactly why these schemes pay per-region
-cost on the fault-free path.
+the :class:`~repro.core.runtime.RecoveryRuntime` rollback Flame uses.
+Unlike Flame there is no sensor and no conveyor: detection rides the
+redundant computation itself, which is exactly why these schemes pay
+per-region cost on the fault-free path.
 """
 
 from __future__ import annotations
@@ -24,10 +24,8 @@ from __future__ import annotations
 import math
 
 from ..errors import ConfigError
-from ..sim import (CONTROL_TID, NEVER, ResilienceRuntime, Sm, Warp,
-                   WarpSnapshot, WarpState)
-from ..sim.snapshot import plain_equal
-from .rpt import RecoveryPcTable
+from ..sim import NEVER, Sm, Warp, WarpSnapshot, WarpState
+from .runtime import RecoveryRuntime
 
 #: Injection sites a compare/checksum check cannot observe: a strike on
 #: the recovery metadata itself corrupts the rollback target, not the
@@ -35,84 +33,35 @@ from .rpt import RecoveryPcTable
 _UNOBSERVABLE_SITES = frozenset({"rpt", "rbq"})
 
 
-class VerifyEntry:
-    """One parked region awaiting its end-of-region check.
-
-    Deliberately a plain class (identity comparison): entries are held
-    in a list that must treat membership as *this* entry, never a
-    field-equal twin captured after a rollback.
-    """
-
-    __slots__ = ("warp", "snapshot", "enqueued_at", "ready_at", "final")
-
-    def __init__(self, warp: Warp, snapshot: WarpSnapshot, enqueued_at: int,
-                 ready_at: int, final: bool) -> None:
-        self.warp = warp
-        self.snapshot = snapshot
-        self.enqueued_at = enqueued_at
-        self.ready_at = ready_at
-        self.final = final
-
-
-class _CompareSmRuntime(ResilienceRuntime):
-    """Per-SM base for compare-at-region-end schemes.
+class CompareRuntime(RecoveryRuntime):
+    """Base for compare-at-region-end schemes.
 
     Subclasses define :meth:`_check_delay` (cycles a warp parks at a
     boundary; ``None`` means this warp crosses unprotected) and may
     override :meth:`_detected` (recovery policy on a failed check).
     """
 
-    needs_boundaries = True
     verify_cause = "verify_dmr"
 
-    def __init__(self, sm: Sm, rollback_cycles: int,
-                 harden_rpt: bool) -> None:
-        self.sm = sm
-        self.rollback_cycles = rollback_cycles
-        self.rpt = RecoveryPcTable(hardened=harden_rpt)
-        self._verify: list[VerifyEntry] = []
+    def bind(self, sm: Sm) -> "CompareRuntime":
+        runtime = super().bind(sm)
         #: Warp id -> strikes landed on its work since its last verified
         #: boundary.  A non-zero count at check time is a mismatch.
-        self._dirty: dict[int, int] = {}
-        self._rollback_until: int | None = None
-
-    def bind(self, sm: Sm) -> "_CompareSmRuntime":
-        return self
-
-    # ------------------------------------------------------------------
-    # Hooks
-    # ------------------------------------------------------------------
-    def on_warp_attached(self, sm: Sm, warp: Warp) -> None:
-        self.rpt.register_warp(warp)
+        runtime._dirty: dict[int, int] = {}
+        return runtime
 
     def on_warp_detached(self, sm: Sm, warp: Warp) -> None:
-        self.rpt.drop(warp)
+        super().on_warp_detached(sm, warp)
         self._dirty.pop(warp.id, None)
 
     def on_strike(self, sm: Sm, record, cycle: int) -> None:
-        """The injector landed a strike on ``record.warp_id``'s work."""
         if record.site in _UNOBSERVABLE_SITES or record.warp_id is None:
             return
         wid = record.warp_id
         self._dirty[wid] = self._dirty.get(wid, 0) + 1
 
-    def on_reach_boundary(self, sm: Sm, warp: Warp, cycle: int) -> None:
-        insts = warp.insts_since_boundary
-        sm.note_region_end(warp)
-        warp.advance()
-        self._cross(sm, warp, cycle, insts, final=False)
-
-    def on_warp_exit(self, sm: Sm, warp: Warp, cycle: int) -> bool:
-        # A protected warp's last region must verify before it retires.
-        insts = warp.insts_since_boundary
-        sm.note_region_end(warp)
-        parked = self._cross(sm, warp, cycle, insts, final=True)
-        return not parked
-
     def _cross(self, sm: Sm, warp: Warp, cycle: int, insts: int,
                final: bool) -> bool:
-        """A warp crossed a region boundary; park it for its check (True)
-        or let it continue unprotected (False)."""
         self._account_region(warp, insts)
         delay = self._check_delay(sm, warp, insts)
         if delay is None:
@@ -125,10 +74,8 @@ class _CompareSmRuntime(ResilienceRuntime):
                 self.rpt.update(warp, WarpSnapshot.capture(warp))
                 sm.skip_markers(warp, cycle)
             return False
-        entry = VerifyEntry(warp, WarpSnapshot.capture(warp), cycle,
-                            cycle + delay, final)
-        warp.state = WarpState.IN_RBQ
-        self._verify.append(entry)
+        entry = self._park(warp, cycle, final, ready_at=cycle + delay)
+        self._parked.append(entry)
         self._note_check(sm)
         if sm.tracer is not None:
             sm.tracer.event("verify_park", cycle, sm.id, warp.id,
@@ -136,124 +83,43 @@ class _CompareSmRuntime(ResilienceRuntime):
         return True
 
     def tick(self, sm: Sm, cycle: int) -> None:
-        if not self._verify:
+        if not self._parked:
             return
-        due = [e for e in self._verify if e.ready_at <= cycle]
+        due = [e for e in self._parked if e.ready_at <= cycle]
         for entry in due:
-            if entry not in self._verify:
+            if entry not in self._parked:
                 continue  # flushed by a rollback earlier this same cycle
-            self._verify.remove(entry)
-            self._checked(sm, entry, cycle)
-
-    def _checked(self, sm: Sm, entry: VerifyEntry, cycle: int) -> None:
-        warp = entry.warp
-        if warp.state is not WarpState.IN_RBQ:
-            return  # stale entry (warp recovered meanwhile)
-        if self._dirty.get(warp.id):
-            self._detected(sm, entry, cycle)
-            return
-        if sm.tracer is not None:
-            sm.tracer.event("region_verify", cycle, sm.id, warp.id,
-                            {"final": entry.final,
-                             "wait": cycle - entry.enqueued_at})
-        if entry.final:
-            warp.state = WarpState.DONE
-            sm._note_warp_done(warp)
-            sm._check_barrier_release(warp.block, cycle)
-            return
-        self.rpt.update(warp, entry.snapshot)
-        warp.state = WarpState.ACTIVE
-        warp.wake(cycle)
-        sm.skip_markers(warp, cycle)
+            self._parked.remove(entry)
+            warp = entry.warp
+            if warp.state is WarpState.IN_RBQ and self._dirty.get(warp.id):
+                self._detected(sm, entry, cycle)
+            else:
+                self._release(sm, entry, cycle)
 
     def next_event(self, sm: Sm) -> int:
         best = NEVER
-        for entry in self._verify:
+        for entry in self._parked:
             if entry.ready_at < best:
                 best = entry.ready_at
         return best
 
-    def stall_cause(self, sm: Sm, cycle: int) -> str | None:
-        until = self._rollback_until
-        if until is not None and cycle < until:
-            return "rollback"
-        return None
-
-    # ------------------------------------------------------------------
-    # Recovery
-    # ------------------------------------------------------------------
-    def _detected(self, sm: Sm, entry: VerifyEntry, cycle: int) -> None:
+    def _detected(self, sm: Sm, entry, cycle: int) -> None:
         """A check failed.  Default policy: SM-wide rollback (the
         compared streams disagree; nothing localizes the corruption)."""
         self._rollback(sm, cycle)
 
-    def _rollback(self, sm: Sm, cycle: int) -> None:
-        """Flush every pending check and reset all live warps to their
-        recovery PCs (mirrors the flame runtime's recovery storm
-        handling, including coalescing nested detections)."""
-        nested = (self._rollback_until is not None
-                  and cycle < self._rollback_until)
-        resume = cycle + self.rollback_cycles
-        self._verify.clear()
+    def _flush(self) -> None:
+        super()._flush()
         self._dirty.clear()
-        for warp in sm.warps:
-            if warp.state is WarpState.DONE:
-                continue
-            self.rpt.recover(warp)
-            warp.state = WarpState.ACTIVE
-            warp.wake(resume)
-            warp.pending.clear()
-            warp.pending_mem.clear()
-            warp.insts_since_boundary = 0
-            warp.clear_inflight()
-            sm.skip_markers(warp, resume)
-        self._rollback_until = resume
-        if nested:
-            sm.stats.coalesced_recoveries += 1
-        else:
-            sm.stats.recoveries += 1
-        sm.stats.detected_errors += 1
-        if sm.tracer is not None:
-            sm.tracer.event("rollback", cycle, sm.id, CONTROL_TID,
-                            {"resume": resume, "coalesced": nested},
-                            ph="X", dur=resume - cycle)
-
-    # ------------------------------------------------------------------
-    # Checkpoint support
-    # ------------------------------------------------------------------
-    _STATE_KEYS = ("rpt", "verify", "dirty")
 
     def capture_state(self, sm: Sm) -> dict:
-        return {
-            "rpt": self.rpt.capture_state(),
-            "verify": tuple((e.warp.id, e.snapshot.to_state(),
-                             e.enqueued_at, e.ready_at, e.final)
-                            for e in self._verify),
-            "dirty": dict(self._dirty),
-            "rollback_until": self._rollback_until,
-        }
+        state = super().capture_state(sm)
+        state["dirty"] = dict(self._dirty)
+        return state
 
     def restore_state(self, state: dict, sm: Sm, warp_map: dict) -> None:
-        self.rpt.restore_state(state["rpt"])
-        self._verify = [
-            VerifyEntry(warp_map[wid], WarpSnapshot.from_state(snap),
-                        enqueued_at, ready_at, final)
-            for wid, snap, enqueued_at, ready_at, final in state["verify"]]
+        super().restore_state(state, sm, warp_map)
         self._dirty = dict(state["dirty"])
-        self._rollback_until = state["rollback_until"]
-
-    def state_equals(self, sm: Sm, state) -> bool:
-        """Excludes ``rollback_until`` for the same reason the flame
-        runtime does: a spent window is only read when a later detection
-        coalesces into it, and the convergence monitor compares only at
-        quiescent boundaries — with ``dirty`` compared (and empty in the
-        golden run), no future check can fail, so no such detection can
-        exist."""
-        if not isinstance(state, dict):
-            return False
-        live = self.capture_state(sm)
-        return all(plain_equal(live[key], state[key])
-                   for key in self._STATE_KEYS)
 
     # ------------------------------------------------------------------
     # Subclass surface
@@ -275,8 +141,8 @@ class _CompareSmRuntime(ResilienceRuntime):
 # DMR / full duplication
 # ==========================================================================
 
-class DmrRuntime(ResilienceRuntime):
-    """Factory for full duplication (DMR) with compare-at-region-end.
+class DmrRuntime(CompareRuntime):
+    """Full duplication (DMR) with compare-at-region-end.
 
     Binds to the ``duplication_renaming`` compile scheme: every eligible
     instruction issues twice (the compiler's shadow stream — the 15-45%
@@ -287,30 +153,11 @@ class DmrRuntime(ResilienceRuntime):
     committed past a failed compare).
     """
 
-    needs_boundaries = True
-
     def __init__(self, compare_cycles: int = 2, rollback_cycles: int = 1,
-                 harden_rpt: bool = True, harden_rbq: bool = True) -> None:
+                 harden_rpt: bool = True) -> None:
         if compare_cycles < 1:
             raise ConfigError("DMR compare must take at least one cycle")
-        if rollback_cycles < 1:
-            raise ConfigError("rollback must take at least one cycle")
-        self.compare_cycles = compare_cycles
-        self.rollback_cycles = rollback_cycles
-        self.harden_rpt = harden_rpt
-
-    def bind(self, sm: Sm) -> "DmrSmRuntime":
-        return DmrSmRuntime(sm, compare_cycles=self.compare_cycles,
-                            rollback_cycles=self.rollback_cycles,
-                            harden_rpt=self.harden_rpt)
-
-
-class DmrSmRuntime(_CompareSmRuntime):
-    verify_cause = "verify_dmr"
-
-    def __init__(self, sm: Sm, compare_cycles: int, rollback_cycles: int,
-                 harden_rpt: bool) -> None:
-        super().__init__(sm, rollback_cycles, harden_rpt)
+        super().__init__(rollback_cycles, harden_rpt)
         self.compare_cycles = compare_cycles
 
     def _check_delay(self, sm: Sm, warp: Warp, insts: int) -> int:
@@ -324,8 +171,8 @@ class DmrSmRuntime(_CompareSmRuntime):
 # Partial thread protection
 # ==========================================================================
 
-class PartialThreadRuntime(ResilienceRuntime):
-    """Factory for vulnerability-ranked partial protection.
+class PartialThreadRuntime(CompareRuntime):
+    """Vulnerability-ranked partial protection.
 
     Only the top ``protect_fraction`` of resident warps — ranked by a
     vulnerability score fed from the stall/liveness ledger (cumulative
@@ -339,47 +186,26 @@ class PartialThreadRuntime(ResilienceRuntime):
     unverified, converting any strike on their work into SDC risk.
     """
 
-    needs_boundaries = True
-
     def __init__(self, protect_fraction: float = 0.5,
                  dup_factor: float = 3.0, compare_cycles: int = 2,
-                 rollback_cycles: int = 1, harden_rpt: bool = True,
-                 harden_rbq: bool = True) -> None:
+                 rollback_cycles: int = 1, harden_rpt: bool = True) -> None:
         if not 0.0 < protect_fraction <= 1.0:
             raise ConfigError("protect_fraction must be in (0, 1]")
         if dup_factor <= 0.0:
             raise ConfigError("dup_factor must be positive")
         if compare_cycles < 1:
             raise ConfigError("compare must take at least one cycle")
-        if rollback_cycles < 1:
-            raise ConfigError("rollback must take at least one cycle")
+        super().__init__(rollback_cycles, harden_rpt)
         self.protect_fraction = protect_fraction
         self.dup_factor = dup_factor
         self.compare_cycles = compare_cycles
-        self.rollback_cycles = rollback_cycles
-        self.harden_rpt = harden_rpt
 
-    def bind(self, sm: Sm) -> "PartialThreadSmRuntime":
-        return PartialThreadSmRuntime(
-            sm, protect_fraction=self.protect_fraction,
-            dup_factor=self.dup_factor, compare_cycles=self.compare_cycles,
-            rollback_cycles=self.rollback_cycles,
-            harden_rpt=self.harden_rpt)
-
-
-class PartialThreadSmRuntime(_CompareSmRuntime):
-    verify_cause = "verify_dmr"
-
-    def __init__(self, sm: Sm, protect_fraction: float, dup_factor: float,
-                 compare_cycles: int, rollback_cycles: int,
-                 harden_rpt: bool) -> None:
-        super().__init__(sm, rollback_cycles, harden_rpt)
-        self.protect_fraction = protect_fraction
-        self.dup_factor = dup_factor
-        self.compare_cycles = compare_cycles
+    def bind(self, sm: Sm) -> "PartialThreadRuntime":
+        runtime = super().bind(sm)
         #: Warp id -> cumulative instructions retired across regions
         #: (the liveness half of the vulnerability score).
-        self._exposure: dict[int, int] = {}
+        runtime._exposure: dict[int, int] = {}
+        return runtime
 
     def on_warp_detached(self, sm: Sm, warp: Warp) -> None:
         super().on_warp_detached(sm, warp)
@@ -420,11 +246,6 @@ class PartialThreadSmRuntime(_CompareSmRuntime):
     def _note_unprotected(self, sm: Sm) -> None:
         sm.stats.partial_unprotected_regions += 1
 
-    # ------------------------------------------------------------------
-    # Checkpoint support (adds the exposure ledger)
-    # ------------------------------------------------------------------
-    _STATE_KEYS = ("rpt", "verify", "dirty", "exposure")
-
     def capture_state(self, sm: Sm) -> dict:
         state = super().capture_state(sm)
         state["exposure"] = dict(self._exposure)
@@ -439,8 +260,8 @@ class PartialThreadSmRuntime(_CompareSmRuntime):
 # ABFT checksum SGEMM
 # ==========================================================================
 
-class AbftSgemmRuntime(ResilienceRuntime):
-    """Factory for online-ABFT GEMM verification.
+class AbftSgemmRuntime(CompareRuntime):
+    """Online-ABFT GEMM verification.
 
     The kernel carries checksum-encoded inputs (the ``SGEMM_ABFT``
     workload variant computes row/column checksum vectors alongside C);
@@ -451,30 +272,13 @@ class AbftSgemmRuntime(ResilienceRuntime):
     unless the corruption cannot be localized.
     """
 
-    needs_boundaries = True
-
-    def __init__(self, check_cycles: int = 3, rollback_cycles: int = 1,
-                 harden_rpt: bool = True, harden_rbq: bool = True) -> None:
-        if check_cycles < 1:
-            raise ConfigError("ABFT check must take at least one cycle")
-        if rollback_cycles < 1:
-            raise ConfigError("rollback must take at least one cycle")
-        self.check_cycles = check_cycles
-        self.rollback_cycles = rollback_cycles
-        self.harden_rpt = harden_rpt
-
-    def bind(self, sm: Sm) -> "AbftSgemmSmRuntime":
-        return AbftSgemmSmRuntime(sm, check_cycles=self.check_cycles,
-                                  rollback_cycles=self.rollback_cycles,
-                                  harden_rpt=self.harden_rpt)
-
-
-class AbftSgemmSmRuntime(_CompareSmRuntime):
     verify_cause = "abft_check"
 
-    def __init__(self, sm: Sm, check_cycles: int, rollback_cycles: int,
-                 harden_rpt: bool) -> None:
-        super().__init__(sm, rollback_cycles, harden_rpt)
+    def __init__(self, check_cycles: int = 3, rollback_cycles: int = 1,
+                 harden_rpt: bool = True) -> None:
+        if check_cycles < 1:
+            raise ConfigError("ABFT check must take at least one cycle")
+        super().__init__(rollback_cycles, harden_rpt)
         self.check_cycles = check_cycles
 
     def _check_delay(self, sm: Sm, warp: Warp, insts: int) -> int:
@@ -483,10 +287,9 @@ class AbftSgemmSmRuntime(_CompareSmRuntime):
     def _note_check(self, sm: Sm) -> None:
         sm.stats.abft_checks += 1
 
-    def _detected(self, sm: Sm, entry: VerifyEntry, cycle: int) -> None:
-        warp = entry.warp
-        if self._dirty.get(warp.id, 0) >= 1 and len(self._dirty) == 1:
-            self._correct(sm, warp, cycle)
+    def _detected(self, sm: Sm, entry, cycle: int) -> None:
+        if len(self._dirty) == 1:
+            self._correct(sm, entry.warp, cycle)
         else:
             # Corruption spread across warps: the checksum flags the
             # mismatch but cannot localize it — fall back to rollback.
@@ -497,14 +300,7 @@ class AbftSgemmSmRuntime(_CompareSmRuntime):
         from its recovery point; the rest of the SM keeps running."""
         resume = cycle + self.rollback_cycles
         self._dirty.pop(warp.id, None)
-        self.rpt.recover(warp)
-        warp.state = WarpState.ACTIVE
-        warp.wake(resume)
-        warp.pending.clear()
-        warp.pending_mem.clear()
-        warp.insts_since_boundary = 0
-        warp.clear_inflight()
-        sm.skip_markers(warp, resume)
+        self._reset(sm, warp, resume)
         self._rollback_until = resume
         sm.stats.recoveries += 1
         sm.stats.detected_errors += 1

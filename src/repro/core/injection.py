@@ -291,7 +291,7 @@ class RptSite(FaultSite):
     description = "Recovery PC Table entry (Flame structure)"
 
     def inject(self, injector, gpu, sm, record, rng):
-        rpt = getattr(sm.resilience, "rpt", None)
+        rpt = sm.resilience.rpt
         if rpt is None:
             record.detail = "no RPT on this scheme"
             return
@@ -321,11 +321,11 @@ class RbqSite(FaultSite):
     description = "Region Boundary Queue entry (Flame structure)"
 
     def inject(self, injector, gpu, sm, record, rng):
-        rbqs = getattr(sm.resilience, "_rbqs", None)
+        rbqs = sm.resilience.rbqs
         if rbqs is None:
             record.detail = "no RBQ on this scheme"
             return
-        if getattr(sm.resilience, "harden_rbq", True):
+        if sm.resilience.harden_rbq:
             record.absorbed = True
             record.detail = "absorbed (RBQ hardened)"
             return
@@ -422,10 +422,8 @@ class FaultInjector:
             # Compare/checksum runtimes observe corruption of a warp's
             # architectural work (the acoustic sensor below is a separate,
             # always-on channel that only the flame runtime consumes).
-            notify = getattr(sm.resilience, "on_strike", None)
-            if notify is not None:
-                notify(sm, record, cycle)
-        tracer = getattr(gpu, "tracer", None)
+            sm.resilience.on_strike(sm, record, cycle)
+        tracer = gpu.tracer
         if tracer is not None:
             tracer.event("strike", cycle, sm.id, CONTROL_TID,
                          {"site": self.site, "landed": record.landed})
@@ -441,11 +439,11 @@ class FaultInjector:
     def _detect(self, gpu: Gpu, sm_id: int, cycle: int) -> None:
         sm = next(s for s in gpu.sms if s.id == sm_id)
         runtime = sm.resilience
-        recover = getattr(runtime, "recover", None)
-        tracer = getattr(gpu, "tracer", None)
+        recoverable = runtime.recovers_on_detection
+        tracer = gpu.tracer
         if tracer is not None:
             tracer.event("detection", cycle, sm_id, CONTROL_TID,
-                         {"recoverable": recover is not None})
+                         {"recoverable": recoverable})
         for record in self.records:
             # Only credit records whose own sensing delay has elapsed:
             # with overlapping strikes on one SM, a later strike must
@@ -454,9 +452,9 @@ class FaultInjector:
             if (record.sm_id == sm_id and not record.recovered
                     and not record.missed
                     and record.detect_cycle <= cycle):
-                record.recovered = recover is not None
-        if recover is not None:
-            recover(cycle)
+                record.recovered = recoverable
+        if recoverable:
+            runtime.recover(cycle)
 
     @property
     def undetected(self) -> int:

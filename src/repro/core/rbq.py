@@ -23,15 +23,41 @@ if TYPE_CHECKING:
     from ..sim import Warp, WarpSnapshot
 
 
-@dataclass
 class RbqEntry:
-    """One conveyor slot: the warp under verification and the recovery
-    context its RPT entry receives once the pop verifies the region."""
+    """One parked region: the warp awaiting verification and the
+    recovery context its RPT entry receives once the region verifies.
 
-    warp: "Warp"
-    snapshot: "WarpSnapshot"
-    enqueued_at: int
-    final: bool = False      # verification of the warp's last region
+    ``ready_at`` is the cycle a runtime-timed check completes (compare
+    schemes); a conveyor entry instead pops WCDL cycles after
+    ``enqueued_at``.  Deliberately a plain class (identity comparison):
+    entries are held in lists that must treat membership as *this*
+    entry, never a field-equal twin captured after a rollback.
+    """
+
+    __slots__ = ("warp", "snapshot", "enqueued_at", "final", "ready_at")
+
+    def __init__(self, warp: "Warp", snapshot: "WarpSnapshot",
+                 enqueued_at: int, final: bool = False,
+                 ready_at: int | None = None) -> None:
+        self.warp = warp
+        self.snapshot = snapshot
+        self.enqueued_at = enqueued_at
+        self.final = final       # verification of the warp's last region
+        self.ready_at = ready_at
+
+    def to_state(self) -> tuple:
+        """Plain data: the warp becomes its id, the snapshot its
+        :meth:`WarpSnapshot.to_state` tuple."""
+        return (self.warp.id, self.snapshot.to_state(), self.enqueued_at,
+                self.final, self.ready_at)
+
+    @classmethod
+    def from_state(cls, state: tuple, warp_map: dict) -> "RbqEntry":
+        from ..sim import WarpSnapshot
+
+        wid, snapshot, enqueued_at, final, ready_at = state
+        return cls(warp_map[wid], WarpSnapshot.from_state(snapshot),
+                   enqueued_at, final, ready_at)
 
 
 @dataclass
@@ -86,21 +112,14 @@ class RegionBoundaryQueue:
 
     # -- checkpoint support --------------------------------------------
     def capture_state(self) -> tuple:
-        """Plain-data conveyor state: warps become ids, snapshots become
-        :meth:`WarpSnapshot.to_state` tuples."""
+        """Plain-data conveyor state (see :meth:`RbqEntry.to_state`)."""
         return (self._last_enqueue_cycle,
-                tuple((e.warp.id, e.snapshot.to_state(), e.enqueued_at,
-                       e.final) for e in self._entries))
+                tuple(e.to_state() for e in self._entries))
 
     def restore_state(self, state: tuple, warp_map: dict) -> None:
-        from ..sim import WarpSnapshot
-
         self._last_enqueue_cycle, entries = state
-        self._entries = deque(
-            RbqEntry(warp=warp_map[wid],
-                     snapshot=WarpSnapshot.from_state(snap),
-                     enqueued_at=enq, final=final)
-            for wid, snap, enq, final in entries)
+        self._entries = deque(RbqEntry.from_state(e, warp_map)
+                              for e in entries)
 
     @property
     def storage_bits(self) -> int:

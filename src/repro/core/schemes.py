@@ -147,7 +147,7 @@ def _flame(wcdl=20, harden_rpt=True, harden_rbq=True):
                              "(the 15-45% strawman)")
 def _dmr(wcdl=20, harden_rpt=True, harden_rbq=True):
     from .competitors import DmrRuntime
-    return DmrRuntime(harden_rpt=harden_rpt, harden_rbq=harden_rbq)
+    return DmrRuntime(harden_rpt=harden_rpt)
 
 
 @register_scheme("partial_thread", compile_scheme="renaming", detects=True,
@@ -157,7 +157,7 @@ def _dmr(wcdl=20, harden_rpt=True, harden_rbq=True):
                              "carry SDC risk")
 def _partial_thread(wcdl=20, harden_rpt=True, harden_rbq=True):
     from .competitors import PartialThreadRuntime
-    return PartialThreadRuntime(harden_rpt=harden_rpt, harden_rbq=harden_rbq)
+    return PartialThreadRuntime(harden_rpt=harden_rpt)
 
 
 @register_scheme("abft_sgemm", compile_scheme="renaming", detects=True,
@@ -167,7 +167,7 @@ def _partial_thread(wcdl=20, harden_rpt=True, harden_rbq=True):
                              "online correction")
 def _abft_sgemm(wcdl=20, harden_rpt=True, harden_rbq=True):
     from .competitors import AbftSgemmRuntime
-    return AbftSgemmRuntime(harden_rpt=harden_rpt, harden_rbq=harden_rbq)
+    return AbftSgemmRuntime(harden_rpt=harden_rpt)
 
 
 @register_scheme("sensor_checkpointing", compile_scheme="sensor_checkpointing",

@@ -66,11 +66,10 @@ class Sanitizer:
             self._check_scoreboard(sm, warp, cycle)
             self._check_stack(sm, warp, cycle)
         runtime = sm.resilience
-        rbqs = getattr(runtime, "_rbqs", None)
-        if rbqs is not None:
-            for rbq in rbqs.values():
+        if runtime.rbqs is not None:
+            for rbq in runtime.rbqs.values():
                 self._check_rbq(sm, rbq, cycle)
-        rpt = getattr(runtime, "rpt", None)
+        rpt = runtime.rpt
         if rpt is not None and sm.kernel is not None:
             self._check_rpt(sm, rpt, cycle)
 

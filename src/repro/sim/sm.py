@@ -42,7 +42,18 @@ class ResilienceRuntime:
     changing the warp state means the marker was consumed for free.
     """
 
-    needs_boundaries = False
+    #: Recovery structures that the fault injector's ``rpt``/``rbq``
+    #: sites strike and the sanitizer checks, None on a runtime without
+    #: them: the Recovery PC Table, and scheduler id -> Region Boundary
+    #: Queue (``harden_rbq`` says whether strikes on the queues are
+    #: absorbed).
+    rpt = None
+    rbqs = None
+    harden_rbq = True
+
+    #: Whether the SM's sensor detections drive :meth:`recover`.  Only
+    #: Flame consumes them; compare schemes detect by redundancy.
+    recovers_on_detection = False
 
     #: Stall cause booked for warps parked in ``IN_RBQ`` (drawn from
     #: ``STALL_CAUSES``); schemes that park warps for a different kind of
@@ -83,6 +94,13 @@ class ResilienceRuntime:
     def next_event(self, sm: "Sm") -> int:
         return NEVER
 
+    def on_strike(self, sm: "Sm", record, cycle: int) -> None:
+        """A strike landed on ``record.warp_id``'s work (fault injector)."""
+
+    def recover(self, cycle: int) -> None:
+        """A sensor detected a strike on this SM; called only when
+        :attr:`recovers_on_detection` is set."""
+
     def capture_state(self, sm: "Sm"):
         """Plain-data snapshot of runtime state (None = stateless)."""
         return None
@@ -94,7 +112,7 @@ class ResilienceRuntime:
         """Convergence-comparison equality against :meth:`capture_state`
         data.  Stateful runtimes override this; they may exclude pure
         observers that provably cannot influence the continuation at a
-        quiescent boundary (see the flame runtime's rollback window)."""
+        quiescent boundary (see the recovery runtime's rollback window)."""
         return state is None
 
 

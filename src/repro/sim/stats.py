@@ -65,7 +65,6 @@ class SimStats:
     region_instructions: int = 0
     recoveries: int = 0
     coalesced_recoveries: int = 0
-    reexecuted_instructions: int = 0
     detected_errors: int = 0
     # Competitor runtimes (repro.core.competitors).
     dmr_compares: int = 0

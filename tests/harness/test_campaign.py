@@ -13,16 +13,30 @@ import pytest
 
 from repro.core.campaign import (CampaignSpec, INFRA_ERROR, OUTCOMES,
                                  run_trial)
+from repro.core.injection import ALL_FAULT_SITES
 from repro.harness.campaign import (CampaignRunner, default_journal_path,
                                     run_campaign)
 from repro.obs import MetricsRegistry
 from tests.conftest import assert_record_matches_registry
 
 
-#: Journal of the checkpointed campaign ``--benchmarks SGEMM,Triad,LBM,NN
-#: --schemes baseline,flame --trials 6 --seed 5 --workers 1`` at tiny scale.
-JOURNAL_PIN = (Path(__file__).resolve().parents[1] / "expected"
-               / "ckpt_pin.jsonl")
+EXPECTED = Path(__file__).resolve().parents[1] / "expected"
+
+#: Committed journals of two checkpointed campaigns at tiny scale:
+#: ``--benchmarks SGEMM,Triad,LBM,NN --schemes baseline,flame --trials 6
+#: --seed 5 --workers 1``, and every detecting runtime on SGEMM under
+#: all six fault sites with the RPT and RBQ unhardened, so that the
+#: competitors' recovery paths are pinned too.
+JOURNAL_PINS = {
+    "ckpt_pin.jsonl": CampaignSpec(
+        workloads=("SGEMM", "Triad", "LBM", "NN"),
+        schemes=("baseline", "flame"), trials=6, seed=5, scale="tiny"),
+    "recovery_pin.jsonl": CampaignSpec(
+        workloads=("SGEMM",),
+        schemes=("flame", "dmr", "partial_thread", "abft_sgemm"), trials=3,
+        seed=5, scale="tiny", sites=ALL_FAULT_SITES, harden_rpt=False,
+        harden_rbq=False),
+}
 
 
 def small_spec(trials=4, **kwargs):
@@ -107,14 +121,19 @@ class TestJournalPin:
     checkpoint layer that moves simulated timing or a verdict shows up
     as a byte difference against the committed journal."""
 
+    def _assert_matches_pin(self, pin, tmp_path):
+        path = tmp_path / "pin.jsonl"
+        run_campaign(JOURNAL_PINS[pin], workers=1, journal_path=str(path))
+        assert path.read_bytes() == (EXPECTED / pin).read_bytes()
+
     def test_checkpointed_campaign_matches_committed_journal(self,
                                                              tmp_path):
-        spec = CampaignSpec(workloads=("SGEMM", "Triad", "LBM", "NN"),
-                            schemes=("baseline", "flame"), trials=6,
-                            seed=5, scale="tiny")
-        path = tmp_path / "pin.jsonl"
-        run_campaign(spec, workers=1, journal_path=str(path))
-        assert path.read_bytes() == JOURNAL_PIN.read_bytes()
+        self._assert_matches_pin("ckpt_pin.jsonl", tmp_path)
+
+    def test_recovery_campaign_matches_committed_journal(self, tmp_path):
+        """Sensor rollback, compare rollback and ABFT's single-warp
+        correction, with strikes on the RPT and RBQ reaching them."""
+        self._assert_matches_pin("recovery_pin.jsonl", tmp_path)
 
 
 class TestHardening:

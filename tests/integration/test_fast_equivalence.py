@@ -16,7 +16,8 @@ from tests.oracle import assert_matches_oracle
 def assert_paths_identical(instance, scheme: str, scheduler: str,
                            injector=None, wcdl: int = 20):
     """Compile ``instance`` for ``scheme``'s runtime and hold the planned
-    launch to the oracle; returns the planned run's result."""
+    launch to the oracle; returns the planned run's result and the
+    injectors of both runs."""
     rscheme = runtime_scheme_by_name(scheme)
     compiled = compile_kernel(instance.kernel, rscheme.compile_scheme,
                               wcdl=wcdl)
@@ -76,14 +77,25 @@ SGEMM_FLAME_SPAN = (0, 2, 4)
 LBM_BASELINE_SPAN = (0, 283, 567)
 
 
-def _strike(cycle, site="dest_reg", wcdl=20):
-    """A factory for a one-strike injector at ``cycle``."""
+def assert_strike_identical(instance, scheme: str, scheduler: str,
+                            cycle: int, landed: bool, site="dest_reg"):
+    """One seeded strike at ``cycle``: both paths must agree, and the
+    strike must land (corrupt a resident warp's state) exactly when
+    ``landed`` says.  Returns the planned run's result."""
     from repro.arch import SensorModel
     from repro.core.injection import FaultInjector
 
-    return lambda: FaultInjector(
-        strike_cycles=[cycle], wcdl=wcdl, seed=13, site=site,
-        sensor=SensorModel(wcdl=wcdl))
+    # Seed 1's first draw strikes SM 0, which holds every block at tiny
+    # scale.
+    result, injectors = assert_paths_identical(
+        instance, scheme, scheduler,
+        injector=lambda: FaultInjector(strike_cycles=[cycle], seed=1,
+                                       site=site,
+                                       sensor=SensorModel(wcdl=20)))
+    record, = injectors[0].records
+    assert record.sm_id == 0
+    assert record.landed is landed, record
+    return result
 
 
 class TestMemoryWindows:
@@ -93,17 +105,18 @@ class TestMemoryWindows:
 
     def test_strike_on_load_inside_window(self):
         instance = workload_by_name("LBM").instance("tiny")
-        for cycle in (*LBM_BASELINE_SPAN, 300):
-            assert_paths_identical(instance, "baseline", "GTO",
-                                   injector=_strike(cycle))
+        # Nothing is in flight at cycle 0.
+        assert_strike_identical(instance, "baseline", "GTO", 0, False)
+        for cycle in (*LBM_BASELINE_SPAN[1:], 300):
+            assert_strike_identical(instance, "baseline", "GTO", cycle, True)
 
     @pytest.mark.parametrize("scheduler", ["GTO", "OLD", "LRR", "2LV"])
     @pytest.mark.parametrize("scheme", ["baseline", "flame"])
     def test_mid_window_strike_matrix(self, scheduler, scheme):
         """The middle strike across the scheduler × scheme matrix."""
         instance = workload_by_name("LBM").instance("tiny")
-        assert_paths_identical(instance, scheme, scheduler,
-                               injector=_strike(LBM_BASELINE_SPAN[1]))
+        assert_strike_identical(instance, scheme, scheduler,
+                                LBM_BASELINE_SPAN[1], True)
 
 
 class TestMidSuperblockStrikes:
@@ -112,23 +125,45 @@ class TestMidSuperblockStrikes:
 
     def test_strike_on_superblock_boundary_cycles(self):
         instance = workload_by_name("SGEMM").instance("tiny")
-        for cycle in SGEMM_BASELINE_SPAN:
-            assert_paths_identical(instance, "baseline", "GTO",
-                                   injector=_strike(cycle))
+        first, *rest = SGEMM_BASELINE_SPAN
+        assert_strike_identical(instance, "baseline", "GTO", first, False)
+        for cycle in rest:
+            assert_strike_identical(instance, "baseline", "GTO", cycle, True)
 
     def test_predicate_corruption_mid_superblock(self):
         """A predicate-write strike: corrupting a guard changes which
-        lanes later instructions touch."""
+        lanes later instructions touch.  SGEMM has no predicate write in
+        flight at this cycle, so the strike must find nothing."""
         instance = workload_by_name("SGEMM").instance("tiny")
-        assert_paths_identical(
-            instance, "baseline", "GTO",
-            injector=_strike(SGEMM_BASELINE_SPAN[1], site="predicate"))
+        assert_strike_identical(instance, "baseline", "GTO",
+                                SGEMM_BASELINE_SPAN[1], False,
+                                site="predicate")
 
     def test_strike_mid_superblock_under_flame(self):
         """The full rollback runtime: the strike triggers sensing and a
-        rollback whose replay re-executes the struck region."""
+        rollback whose replay re-executes the struck region.  The early
+        strike finds nothing in flight, yet the sensor still hears it
+        and rolls the SM back."""
         instance = workload_by_name("SGEMM").instance("tiny")
-        for cycle in (SGEMM_FLAME_SPAN[1], 400):
-            assert_paths_identical(instance, "flame", "GTO",
-                                   injector=_strike(cycle))
+        for cycle, landed in ((SGEMM_FLAME_SPAN[1], False), (400, True)):
+            result = assert_strike_identical(instance, "flame", "GTO",
+                                             cycle, landed)
+            assert result.stats.recoveries == 1
 
+
+class TestCompareRecoveryStrikes:
+    """The compare runtimes recover without the sensor: a landed strike
+    fails the struck warp's end-of-region check."""
+
+    @pytest.mark.parametrize("scheme", ["dmr", "partial_thread"])
+    def test_compare_rollback(self, scheme):
+        instance = workload_by_name("SGEMM").instance("tiny")
+        result = assert_strike_identical(instance, scheme, "GTO", 400, True)
+        assert result.stats.recoveries == 1
+
+    def test_abft_single_warp_correction(self):
+        instance = workload_by_name("SGEMM_ABFT").instance("tiny")
+        result = assert_strike_identical(instance, "abft_sgemm", "GTO", 400,
+                                         True)
+        assert result.stats.recoveries == 1
+        assert result.stats.abft_corrections == 1

@@ -45,10 +45,11 @@ def assert_matches_oracle(kernel, launch, memory: np.ndarray, *,
                           regs_per_thread: int | None = None,
                           resilience: ResilienceRuntime = NULL_RESILIENCE,
                           scheduler: str = "GTO",
-                          injector=None) -> RunResult:
+                          injector=None) -> tuple[RunResult, list]:
     """Launch ``kernel`` on the planned path and on the oracle, each on
     its own copy of ``memory``; assert identical cycles, stats and final
-    memory bytes, and return the planned run's result.
+    memory bytes.  Returns the planned run's result and the injectors
+    of the planned and oracle runs (empty without ``injector``).
 
     ``injector`` is a zero-argument factory: each run gets a fresh
     fault injector, and both must record the same strikes.
@@ -72,4 +73,4 @@ def assert_matches_oracle(kernel, launch, memory: np.ndarray, *,
     if injectors:
         assert injectors[0].records == injectors[1].records, \
             f"strike records diverge: {where}"
-    return planned
+    return planned, injectors

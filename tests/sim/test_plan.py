@@ -232,7 +232,7 @@ class TestMicroKernelEquivalence:
         launch = LaunchConfig(grid=(1, 1), block=(32, 1), params=(64,))
         mem = np.zeros(128)
         mem[:64] = np.arange(64.0)
-        result = assert_matches_oracle(kernel, launch, mem)
+        result, _ = assert_matches_oracle(kernel, launch, mem)
         assert result.stats.global_transactions > 0
 
     def test_partial_trailing_warp(self, saxpy_kernel):

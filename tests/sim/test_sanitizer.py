@@ -139,7 +139,7 @@ class TestInvariants:
             def tick(self, gpu, cycle):
                 if self.fired:
                     return
-                for rbq in gpu.sms[0].resilience._rbqs.values():
+                for rbq in gpu.sms[0].resilience.rbqs.values():
                     if len(rbq._entries) >= 2:
                         # Swap enqueue stamps: the conveyor can only
                         # move forward, so this is unreachable state.

@@ -57,7 +57,7 @@ def test_fast_and_reference_ledgers_identical(workload, scheme):
     compiled = compile_kernel(instance.kernel, rscheme.compile_scheme,
                               wcdl=20)
     launch, mem = prepared_launch(compiled, instance)
-    result = assert_matches_oracle(
+    result, _ = assert_matches_oracle(
         compiled.kernel, launch, mem,
         regs_per_thread=compiled.regs_per_thread,
         resilience=rscheme.build(wcdl=20))
