@@ -33,9 +33,7 @@ def test_recovery_latency(benchmark):
         if strikes:
             gpu.fault_injector = FaultInjector(strike_cycles=strikes,
                                                wcdl=20, seed=1)
-        mem = instance.fresh_memory()
-        result = gpu.launch(compiled.kernel, instance.launch, mem,
-                            regs_per_thread=compiled.regs_per_thread)
+        result, mem = instance.run(compiled, gpu)
         assert instance.verify(mem)
         return result.cycles
 

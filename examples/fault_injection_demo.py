@@ -18,20 +18,17 @@ import numpy as np
 from repro.arch import GTX480
 from repro.compiler import compile_kernel
 from repro.core import FaultInjector, FlameRuntime
-from repro.sim import Gpu
+from repro.sim import NULL_RESILIENCE, Gpu
 from repro.workloads import WORKLOADS
 
 WCDL = 20
 STRIKES = [100 + 211 * k for k in range(15)]
 
 
-def launch(compiled, instance, runtime=None, injector=None):
-    gpu = Gpu(GTX480, resilience=runtime) if runtime else Gpu(GTX480)
+def launch(compiled, instance, runtime=NULL_RESILIENCE, injector=None):
+    gpu = Gpu(GTX480, resilience=runtime)
     gpu.fault_injector = injector
-    mem = instance.fresh_memory()
-    result = gpu.launch(compiled.kernel, instance.launch, mem,
-                        regs_per_thread=compiled.regs_per_thread)
-    return result, mem
+    return instance.run(compiled, gpu)
 
 
 def main():

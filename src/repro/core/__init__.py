@@ -13,9 +13,9 @@ from .injection import (ALL_FAULT_SITES, FAULT_SITES, FaultInjector,
 from .rbq import RbqEntry, RegionBoundaryQueue
 from .rpt import RecoveryPcTable
 from .runtime import FlameRuntime
-from .schemes import (RUNTIME_SCHEMES, RuntimeScheme, build_runtime,
-                      campaign_schemes, default_campaign_schemes,
-                      register_scheme, runtime_scheme_by_name)
+from .schemes import (RUNTIME_SCHEMES, RuntimeScheme, campaign_schemes,
+                      default_campaign_schemes, register_scheme,
+                      runtime_scheme_by_name)
 
 __all__ = [
     "ALL_FAULT_SITES", "AbftSgemmRuntime", "CampaignJournal", "CampaignSpec",
@@ -23,7 +23,7 @@ __all__ = [
     "FaultSite", "FlameRuntime", "HardwareCost", "InjectionRecord",
     "PartialThreadRuntime", "RUNTIME_SCHEMES", "RbqEntry", "RecoveryPcTable",
     "RegionBoundaryQueue", "RuntimeScheme", "TrialResult",
-    "TrialSpec", "aggregate", "build_runtime", "campaign_schemes",
+    "TrialSpec", "aggregate", "campaign_schemes",
     "default_campaign_schemes", "fault_site_by_name", "flame_hardware_cost",
     "register_fault_site", "register_scheme", "run_trial",
     "runtime_scheme_by_name", "wilson_interval",

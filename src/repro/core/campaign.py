@@ -330,48 +330,6 @@ def golden_key(trial: TrialSpec) -> tuple:
             trial.harden_rpt, trial.harden_rbq)
 
 
-def _build_launch_once(trial: TrialSpec):
-    """Compile the trial's workload and return the launch closure every
-    golden/faulty execution of its cell goes through."""
-    from ..arch import gpu_by_name
-    from ..compiler import compile_kernel, prepare_launch, scheme_by_name
-    from ..sim import Gpu, LaunchConfig, Sanitizer
-    from ..workloads import workload_by_name
-    from .schemes import runtime_scheme_by_name
-
-    workload = workload_by_name(trial.workload)
-    instance = workload.instance(trial.scale)
-    rscheme = runtime_scheme_by_name(trial.scheme)
-    scheme = scheme_by_name(rscheme.compile_scheme)
-    compiled = compile_kernel(instance.kernel, scheme, wcdl=trial.wcdl)
-    config = gpu_by_name(trial.gpu)
-
-    def launch_once(injector=None, max_cycles=None, recorder=None,
-                    resume_from=None, monitor=None):
-        runtime = rscheme.build(wcdl=trial.wcdl,
-                                harden_rpt=trial.harden_rpt,
-                                harden_rbq=trial.harden_rbq)
-        sanitizer = Sanitizer() if trial.sanitize else None
-        gpu = Gpu(config, resilience=runtime, scheduler=trial.scheduler,
-                  sanitizer=sanitizer)
-        gpu.fault_injector = injector
-        mem = instance.fresh_memory()
-        params, mem = prepare_launch(
-            compiled, instance.launch.params, mem,
-            instance.launch.num_blocks,
-            instance.launch.threads_per_block,
-            warp_size=config.warp_size)
-        launch = LaunchConfig(grid=instance.launch.grid,
-                              block=instance.launch.block, params=params)
-        result = gpu.launch(compiled.kernel, launch, mem,
-                            regs_per_thread=compiled.regs_per_thread,
-                            max_cycles=max_cycles, recorder=recorder,
-                            resume_from=resume_from, monitor=monitor)
-        return result, mem
-
-    return launch_once
-
-
 def _golden(trial: TrialSpec,
             with_checkpoints: bool = False) -> tuple[list, bool]:
     """Return ``(cache entry, cache_hit)`` for the trial's golden run.
@@ -387,8 +345,14 @@ def _golden(trial: TrialSpec,
     if entry is not None:
         _GOLDEN_CACHE.move_to_end(key)
     else:
-        launch_once = _build_launch_once(trial)
         from .goldens import shared_entry
+        from .schemes import launcher
+
+        _, _, launch_once = launcher(
+            trial.workload, trial.scheme, trial.scale, gpu=trial.gpu,
+            scheduler=trial.scheduler, wcdl=trial.wcdl,
+            harden_rpt=trial.harden_rpt, harden_rbq=trial.harden_rbq,
+            sanitize=trial.sanitize)
 
         shared = shared_entry(key)
         if shared is not None:

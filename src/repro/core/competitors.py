@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 
 from ..errors import ConfigError
-from ..sim import NEVER, Sm, Warp, WarpSnapshot, WarpState
+from ..sim import Sm, Warp, WarpSnapshot, WarpState
 from .runtime import RecoveryRuntime
 
 #: Injection sites a compare/checksum check cannot observe: a strike on
@@ -83,6 +83,7 @@ class CompareRuntime(RecoveryRuntime):
         return True
 
     def tick(self, sm: Sm, cycle: int) -> None:
+        super().tick(sm, cycle)
         if not self._parked:
             return
         due = [e for e in self._parked if e.ready_at <= cycle]
@@ -97,7 +98,7 @@ class CompareRuntime(RecoveryRuntime):
                 self._release(sm, entry, cycle)
 
     def next_event(self, sm: Sm) -> int:
-        best = NEVER
+        best = super().next_event(sm)
         for entry in self._parked:
             if entry.ready_at < best:
                 best = entry.ready_at

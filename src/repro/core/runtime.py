@@ -126,6 +126,19 @@ class RecoveryRuntime(ResilienceRuntime):
             sm.tracer.event("warp_wake", cycle, sm.id, warp.id)
         sm.skip_markers(warp, cycle)
 
+    def tick(self, sm: Sm, cycle: int) -> None:
+        """Close a rollback window that has run out, so its end stops
+        being an event (subclasses call this before their own work)."""
+        until = self._rollback_until
+        if until is not None and cycle >= until:
+            self._rollback_until = None
+
+    def next_event(self, sm: Sm) -> int:
+        """The end of a running rollback window: the cycle its stall
+        cause stops holding, which fast-forward must not skip."""
+        until = self._rollback_until
+        return NEVER if until is None else until
+
     def stall_cause(self, sm: Sm, cycle: int) -> str | None:
         """SM-level attribution: an in-progress rollback window claims
         the cycle outright, then :attr:`parked_cause`."""
@@ -276,6 +289,7 @@ class FlameRuntime(RecoveryRuntime):
         return True
 
     def tick(self, sm: Sm, cycle: int) -> None:
+        super().tick(sm, cycle)
         for rbq in self.rbqs.values():
             entry = rbq.pop_verified(cycle)
             if entry is not None:
@@ -292,7 +306,7 @@ class FlameRuntime(RecoveryRuntime):
             self._parked = still_parked
 
     def next_event(self, sm: Sm) -> int:
-        best = NEVER
+        best = super().next_event(sm)
         for rbq in self.rbqs.values():
             pop = rbq.next_pop_cycle()
             if pop is not None:

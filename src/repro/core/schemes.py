@@ -4,8 +4,9 @@ A *runtime scheme* couples a compile-time :class:`~repro.compiler.Scheme`
 (what code the kernel runs) with a :class:`~repro.sim.ResilienceRuntime`
 factory (what the hardware model does about faults at region boundaries)
 plus campaign metadata.  The fault-injection campaign, the overhead
-runner, and the tracer all resolve scheme names here, so adding a new
-competitor is one ``@register_scheme`` declaration:
+runner, and the tracer all resolve scheme names and build their runs
+here (:func:`launcher`), so adding a new competitor is one
+``@register_scheme`` declaration:
 
     @register_scheme("my_scheme", compile_scheme="renaming",
                      detects=True, description="...")
@@ -114,11 +115,41 @@ def default_campaign_schemes() -> tuple:
     return ("baseline", "flame")
 
 
-def build_runtime(name: str, wcdl: int = 20, harden_rpt: bool = True,
-                  harden_rbq: bool = True):
-    """Shorthand: resolve ``name`` and build its runtime."""
-    return runtime_scheme_by_name(name).build(
-        wcdl=wcdl, harden_rpt=harden_rpt, harden_rbq=harden_rbq)
+def launcher(workload: str, scheme: str, scale: str, gpu: str = "GTX480",
+             scheduler: str = "GTO", wcdl: int = 20, harden_rpt: bool = True,
+             harden_rbq: bool = True, sanitize: bool = False):
+    """The one way a configuration runs: compile once, launch many.
+
+    Compiles ``workload`` at ``scale`` under ``scheme`` and returns
+    ``(instance, compiled, launch)``.  Each ``launch(injector=None,
+    tracer=None, **launch_kwargs)`` call builds a fresh runtime,
+    sanitizer and :class:`~repro.sim.Gpu` and returns
+    ``instance.run(compiled, gpu, **launch_kwargs)``, i.e. ``(RunResult,
+    final memory)``.  The parameters are the run and trial spec fields.
+    """
+    from ..arch import gpu_by_name
+    # Looked up at call time, so a rebound ``compile_kernel`` is used.
+    from ..compiler import compile_kernel
+    from ..sim import Gpu, Sanitizer
+    from ..workloads import workload_by_name
+
+    instance = workload_by_name(workload).instance(scale)
+    rscheme = runtime_scheme_by_name(scheme)
+    compiled = compile_kernel(
+        instance.kernel, compile_scheme_by_name(rscheme.compile_scheme),
+        wcdl=wcdl)
+    config = gpu_by_name(gpu)
+
+    def launch(injector=None, tracer=None, **launch_kwargs):
+        runtime = rscheme.build(wcdl=wcdl, harden_rpt=harden_rpt,
+                                harden_rbq=harden_rbq)
+        machine = Gpu(config, resilience=runtime, scheduler=scheduler,
+                      sanitizer=Sanitizer() if sanitize else None,
+                      tracer=tracer)
+        machine.fault_injector = injector
+        return instance.run(compiled, machine, **launch_kwargs)
+
+    return instance, compiled, launch
 
 
 # --------------------------------------------------------------------------

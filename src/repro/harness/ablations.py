@@ -18,12 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..arch import GTX480
-from ..compiler import compile_kernel, prepare_launch
+from ..compiler import compile_kernel
 from ..core import FlameRuntime
-from ..sim import Gpu, LaunchConfig
+from ..sim import NULL_RESILIENCE, Gpu
 from ..workloads import WORKLOADS
 
 #: Representative mix: streaming, tiled-barrier, reduction, scatter.
@@ -70,23 +68,12 @@ def run_ablation(benchmarks=DEFAULT_BENCHMARKS, scale: str = "tiny",
         instance = WORKLOADS[abbr].instance(scale)
 
         def launch(compiled, runtime):
-            gpu = Gpu(GTX480, resilience=runtime) if runtime \
-                else Gpu(GTX480)
-            mem = instance.fresh_memory()
-            params, mem = prepare_launch(
-                compiled, instance.launch.params, mem,
-                instance.launch.num_blocks,
-                instance.launch.threads_per_block)
-            launch_cfg = LaunchConfig(grid=instance.launch.grid,
-                                      block=instance.launch.block,
-                                      params=params)
-            result = gpu.launch(compiled.kernel, launch_cfg, mem,
-                                regs_per_thread=compiled.regs_per_thread)
+            result, mem = instance.run(compiled, Gpu(GTX480, runtime))
             assert instance.verify(mem), (abbr, "ablation broke semantics")
             return result
 
         base_compiled = compile_kernel(instance.kernel, "baseline")
-        base = launch(base_compiled, None)
+        base = launch(base_compiled, NULL_RESILIENCE)
         for variant in ABLATIONS:
             compiled = _compile_variant(instance.kernel, variant, wcdl)
             result = launch(compiled, FlameRuntime(wcdl))

@@ -43,14 +43,23 @@ def default_journal_path(spec: CampaignSpec,
 
 @dataclass
 class CampaignReport:
-    """Everything a rendered summary (or a test) needs."""
+    """Everything a rendered summary (or a test) needs, derived from the
+    campaign's journal rows: per-cell aggregates, whether every trial
+    has a row, and the ``infra_error`` count over all of them (resumed
+    rows included)."""
 
     spec: CampaignSpec
     results: list[TrialResult]
-    cells: list[CellAggregate]
     journal_path: str
-    complete: bool = True
-    infra_failures: int = 0
+    cells: list[CellAggregate] = field(init=False)
+    complete: bool = field(init=False)
+    infra_failures: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.cells = aggregate(self.results)
+        keys = {r.key for r in self.results}
+        self.complete = all(t.key in keys for t in self.spec.trial_specs())
+        self.infra_failures = sum(c.counts[INFRA_ERROR] for c in self.cells)
 
     def cell(self, workload: str, scheme: str,
              site: str | None = None) -> CellAggregate:
@@ -113,7 +122,6 @@ class CampaignRunner:
             print(f"  resuming: {len(done)}/{total} trials journaled",
                   flush=True)
         completed = len(done)
-        infra = 0
         heartbeat = None
         if (metrics_path is not None or registry is not None
                 or on_snapshot is not None):
@@ -126,11 +134,9 @@ class CampaignRunner:
             self._registry = heartbeat.registry
 
         def record(result: TrialResult) -> None:
-            nonlocal completed, infra
+            nonlocal completed
             journal.append(result)
             completed += 1
-            if result.outcome == INFRA_ERROR:
-                infra += 1
             if heartbeat is not None:
                 heartbeat.note_trial(result)
             if progress and (completed % 25 == 0 or completed == total):
@@ -160,13 +166,7 @@ class CampaignRunner:
                 heartbeat.stop()
             self._registry = None
 
-        results = journal.load(spec)
-        keys = {r.key for r in results}
-        expected = {t.key for t in spec.trial_specs()}
-        return CampaignReport(spec=spec, results=results,
-                              cells=aggregate(results), journal_path=path,
-                              complete=expected <= keys,
-                              infra_failures=infra)
+        return CampaignReport(spec, journal.load(spec), path)
 
     # ------------------------------------------------------------------
     def _infra_result(self, trial: TrialSpec, attempts: int,

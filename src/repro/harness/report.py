@@ -430,18 +430,12 @@ def report_from_journal(journal_path: str) -> "CampaignReport":
     """Rebuild a :class:`CampaignReport` from a merged journal alone —
     the spec rides in the journal header, so the standalone ``report``
     command needs no other inputs."""
-    from ..core.campaign import CampaignJournal, INFRA_ERROR, aggregate
+    from ..core.campaign import CampaignJournal
     from .campaign import CampaignReport
 
     journal = CampaignJournal(journal_path)
     spec = journal.load_spec()
-    results = journal.load(spec)
-    expected = {t.key for t in spec.trial_specs()}
-    return CampaignReport(
-        spec=spec, results=results, cells=aggregate(results),
-        journal_path=journal_path,
-        complete={r.key for r in results} >= expected,
-        infra_failures=sum(r.outcome == INFRA_ERROR for r in results))
+    return CampaignReport(spec, journal.load(spec), journal_path)
 
 
 __all__ = ["families_from_registry", "load_prom_snapshot",

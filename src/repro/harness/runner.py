@@ -13,12 +13,8 @@ import os
 import tempfile
 from dataclasses import asdict, dataclass
 
-from ..arch import gpu_by_name
-from ..compiler import compile_kernel, prepare_launch, scheme_by_name
-from ..core import runtime_scheme_by_name
+from ..core.schemes import launcher
 from ..errors import ReproError
-from ..sim import Gpu, LaunchConfig
-from ..workloads import workload_by_name
 
 #: Bump to invalidate cached results after behaviour-changing edits.
 CACHE_VERSION = 5
@@ -78,23 +74,10 @@ class RunOutcome:
 
 def execute(spec: RunSpec) -> RunOutcome:
     """Compile and simulate one configuration (no caching)."""
-    workload = workload_by_name(spec.workload)
-    instance = workload.instance(spec.scale)
-    rscheme = runtime_scheme_by_name(spec.scheme)
-    scheme = scheme_by_name(rscheme.compile_scheme)
-    compiled = compile_kernel(instance.kernel, scheme, wcdl=spec.wcdl)
-    config = gpu_by_name(spec.gpu)
-    runtime = rscheme.build(wcdl=spec.wcdl)
-    gpu = Gpu(config, resilience=runtime, scheduler=spec.scheduler)
-    mem = instance.fresh_memory()
-    params, mem = prepare_launch(
-        compiled, instance.launch.params, mem,
-        instance.launch.num_blocks, instance.launch.threads_per_block,
-        warp_size=config.warp_size)
-    launch = LaunchConfig(grid=instance.launch.grid,
-                          block=instance.launch.block, params=params)
-    result = gpu.launch(compiled.kernel, launch, mem,
-                        regs_per_thread=compiled.regs_per_thread)
+    instance, compiled, launch = launcher(
+        spec.workload, spec.scheme, spec.scale, gpu=spec.gpu,
+        scheduler=spec.scheduler, wcdl=spec.wcdl)
+    result, mem = launch()
     verified = instance.verify(mem)
     if not verified:
         raise ReproError(

@@ -1,11 +1,12 @@
 """Traced single runs: one workload, full event timeline, stall ledger.
 
-``run_traced`` is :func:`repro.harness.runner.execute` with the
-observability stack attached: a :class:`~repro.obs.Tracer` collects the
-cycle-level event stream and, when injection is enabled, a single
-strike is scheduled mid-kernel so the trace also exhibits the
-detection/recovery machinery (strike, detection, rollback, region
-verification).  The strike cycle is sampled from an untraced golden
+``run_traced`` runs a configuration through the same
+:func:`repro.core.schemes.launcher` as
+:func:`repro.harness.runner.execute`, with the observability stack
+attached: a :class:`~repro.obs.Tracer` collects the cycle-level event
+stream and, when injection is enabled, a single strike is scheduled
+mid-kernel so the trace also exhibits the detection/recovery machinery
+(strike, detection, rollback, region verification).  The strike cycle is sampled from an untraced golden
 pre-run, which guarantees it lands while the kernel is still live.
 """
 
@@ -15,14 +16,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..arch import gpu_by_name
-from ..compiler import compile_kernel, prepare_launch, scheme_by_name
-from ..core import runtime_scheme_by_name
 from ..core.injection import FaultInjector
+from ..core.schemes import launcher, runtime_scheme_by_name
 from ..errors import ConfigError, ReproError
 from ..obs import Tracer
-from ..sim import Gpu, LaunchConfig
-from ..workloads import workload_by_name
 
 
 @dataclass
@@ -39,33 +36,6 @@ class TracedRun:
     stats: object  # merged SimStats of the traced run
     strike_cycle: int | None = None
     injections: list = field(default_factory=list)
-
-
-def _launch_once(workload_name: str, scheme_name: str, scheduler: str,
-                 scale: str, gpu_name: str, wcdl: int, tracer=None,
-                 injector=None):
-    """Compile, assemble a fresh GPU, and run one launch."""
-    workload = workload_by_name(workload_name)
-    instance = workload.instance(scale)
-    rscheme = runtime_scheme_by_name(scheme_name)
-    scheme = scheme_by_name(rscheme.compile_scheme)
-    compiled = compile_kernel(instance.kernel, scheme, wcdl=wcdl)
-    config = gpu_by_name(gpu_name)
-    runtime = rscheme.build(wcdl=wcdl)
-    gpu = Gpu(config, resilience=runtime, scheduler=scheduler,
-              tracer=tracer)
-    if injector is not None:
-        gpu.fault_injector = injector
-    mem = instance.fresh_memory()
-    params, mem = prepare_launch(
-        compiled, instance.launch.params, mem,
-        instance.launch.num_blocks, instance.launch.threads_per_block,
-        warp_size=config.warp_size)
-    launch = LaunchConfig(grid=instance.launch.grid,
-                          block=instance.launch.block, params=params)
-    result = gpu.launch(compiled.kernel, launch, mem,
-                        regs_per_thread=compiled.regs_per_thread)
-    return instance, gpu, mem, result
 
 
 def run_traced(workload: str, scheme: str = "flame",
@@ -88,20 +58,19 @@ def run_traced(workload: str, scheme: str = "flame",
             f"scheme {scheme!r} only supports workloads "
             f"{', '.join(rscheme.workloads)}; cannot trace {workload!r}")
     inject = inject and rscheme.detects
+    instance, _, launch = launcher(workload, scheme, scale, gpu=gpu,
+                                   scheduler=scheduler, wcdl=wcdl)
     strike_cycle = None
     injector = None
     if inject:
-        _, _, _, golden = _launch_once(workload, scheme, scheduler,
-                                       scale, gpu, wcdl)
+        golden, _ = launch()
         rng = np.random.default_rng(seed)
         strike_cycle = int(rng.integers(1, max(2, golden.cycles // 2)))
         injector = FaultInjector(strike_cycles=[strike_cycle], wcdl=wcdl,
                                  seed=seed, site=site)
 
     tracer = Tracer(capacity=capacity)
-    instance, _, mem, result = _launch_once(
-        workload, scheme, scheduler, scale, gpu, wcdl,
-        tracer=tracer, injector=injector)
+    result, mem = launch(injector, tracer)
     verified = instance.verify(mem)
     if not verified and not inject:
         raise ReproError(

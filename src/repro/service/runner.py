@@ -15,8 +15,7 @@ from __future__ import annotations
 import os
 import shutil
 
-from ..core.campaign import (CampaignJournal, CampaignSpec, INFRA_ERROR,
-                             aggregate)
+from ..core.campaign import CampaignJournal, CampaignSpec
 from ..harness.campaign import CampaignReport, default_journal_path
 from .backends import BackendOptions, HttpBackend, backend_by_name
 from .coordinator import Coordinator
@@ -71,17 +70,14 @@ def run_sharded_campaign(spec: CampaignSpec, *, shards: int,
     merged_journal = CampaignJournal(path)
     merged_journal.repair()
     prior = merged_journal.load(spec)
-    expected = {t.key for t in spec.trial_specs()}
-    if {r.key for r in prior} >= expected:
+    resumed = CampaignReport(spec, prior, path)
+    if resumed.complete:
         if progress:
             print(f"  campaign already complete in {path}", flush=True)
         if registry is not None:
             from ..obs.metrics import observe_resumed
             observe_resumed(registry, prior)
-        return CampaignReport(
-            spec=spec, results=prior, cells=aggregate(prior),
-            journal_path=path, complete=True,
-            infra_failures=sum(r.outcome == INFRA_ERROR for r in prior))
+        return resumed
 
     coordinator = Coordinator(
         spec, sdir, shards, lease_ttl_s=lease_ttl_s,
@@ -147,11 +143,7 @@ def run_sharded_campaign(spec: CampaignSpec, *, shards: int,
         if heartbeat is not None:
             heartbeat.stop()
         coordinator.close()
-    return CampaignReport(
-        spec=spec, results=results, cells=aggregate(results),
-        journal_path=path,
-        complete={r.key for r in results} >= expected,
-        infra_failures=sum(r.outcome == INFRA_ERROR for r in results))
+    return CampaignReport(spec, results, path)
 
 
 def _merge(spec: CampaignSpec, sdir: str, coordinator: Coordinator,

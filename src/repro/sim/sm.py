@@ -163,8 +163,7 @@ class Sm:
         #: checkpoint recorder is attached; None on ordinary runs).
         self.liveness = None
         #: Event tracer (``repro.obs.Tracer``) or None.  The None case
-        #: costs a single truthiness check per tick: the traced tick is
-        #: a separate method, so the hot path stays branch-free.
+        #: costs one check per tick and one per issued instruction.
         self.tracer = None
         #: Stall cause recorded at the most recent idle cycle, consumed
         #: by ``account_stall_skip`` when the event-driven fast-forward
@@ -225,6 +224,10 @@ class Sm:
         # fault-site candidate selection iterates ``sm.warps``, so the
         # surviving warps must keep their exact relative order.
         self.warps = [w for w in self.warps if w.block is not block]
+        if not blocks:
+            # A drained SM carries no stall into its next tick, which
+            # closes its open trace stall span.
+            self._stall_cause = None
         if self.tracer is not None:
             self.tracer.event("block_retire", cycle, self.id, CONTROL_TID,
                               {"block": block.id})
@@ -386,23 +389,23 @@ class Sm:
     # ------------------------------------------------------------------
     def tick(self, cycle: int) -> int:
         """Run one cycle; returns the number of instructions issued."""
-        tracer = self.tracer
-        if tracer is not None:
-            self.resilience.tick(self, cycle)
-            return self._tick_traced(cycle, tracer)
         if self._stall_cause is not None and self.next_event(cycle) > cycle:
             # Idle elision: this SM classified a stall on its last tick
             # and cannot issue before a future cycle, so a full tick
             # would re-derive the same stall cause — account the idle
             # cycle directly (the ``next_event`` trust of
             # ``Gpu._fast_forward``, applied per SM).  An elided cycle
-            # skips the resilience tick too.
+            # skips the resilience tick too, and an open trace stall
+            # span simply continues.
             self.account_stall_skip(1)
             return 0
         self.resilience.tick(self, cycle)
+        tracer = self.tracer
         if not self.blocks:
             # No warps to pick from and no stall to attribute (the
             # failed-pick memo is derived state that ``attach`` resets).
+            if tracer is not None:
+                self.trace_flush(cycle)
             return 0
         issuable, issue = self._issuable, self._issue
         issued = 0
@@ -424,7 +427,18 @@ class Sm:
                 if scheduler.pick_pure_on_fail:
                     self._memo_failed_pick(scheduler, cycle)
                 continue
-            issue(warp, cycle)
+            if tracer is None:
+                issue(warp, cycle)
+            else:
+                pc = warp.stack[-1].pc
+                retiring = warp.finished
+                issue(warp, cycle)
+                if retiring:
+                    tracer.event("warp_retire", cycle, self.id, warp.id)
+                else:
+                    tracer.event("issue", cycle, self.id, warp.id,
+                                 {"pc": pc,
+                                  "op": self.plan.records[pc].label})
             issued += 1
         # Blocks leave only between ticks (``Gpu.launch`` retires them),
         # so the SM is still busy here.
@@ -433,53 +447,19 @@ class Sm:
         if issued:
             stats.issue_cycles += 1
             self._stall_cause = None
+            if tracer is not None:
+                self.trace_flush(cycle)
         else:
             stats.idle_cycles += 1
             cause, culprit = self._classify_stall(cycle)
             stats.count_stall(cause, culprit)
             self._stall_cause = cause
             self._stall_warp = culprit
-        return issued
-
-    def _tick_traced(self, cycle: int, tracer) -> int:
-        """``tick`` with event emission; kept out of line so the
-        untraced hot path pays only the tracer truthiness check."""
-        issued = 0
-        records = self.plan.records
-        for scheduler in self.schedulers:
-            warp = scheduler.pick(self._issuable, cycle)
-            if warp is None:
-                continue
-            pc = warp.stack[-1].pc
-            retiring = warp.finished
-            self._issue(warp, cycle)
-            issued += 1
-            if retiring:
-                tracer.event("warp_retire", cycle, self.id, warp.id)
-            else:
-                tracer.event("issue", cycle, self.id, warp.id,
-                             {"pc": pc, "op": records[pc].label})
-        if self.busy:
-            stats = self.stats
-            stats.active_cycles += 1
-            if issued:
-                stats.issue_cycles += 1
-                self._stall_cause = None
+            if tracer is not None and self._trace_stall_cause != cause:
                 self.trace_flush(cycle)
-            else:
-                stats.idle_cycles += 1
-                cause, culprit = self._classify_stall(cycle)
-                stats.count_stall(cause, culprit)
-                self._stall_cause = cause
-                self._stall_warp = culprit
-                if self._trace_stall_cause != cause:
-                    self.trace_flush(cycle)
-                    self._trace_stall_cause = cause
-                    self._trace_stall_warp = culprit
-                    self._trace_stall_start = cycle
-        else:
-            self._stall_cause = None
-            self.trace_flush(cycle)
+                self._trace_stall_cause = cause
+                self._trace_stall_warp = culprit
+                self._trace_stall_start = cycle
         return issued
 
     def trace_flush(self, cycle: int) -> None:

@@ -15,9 +15,10 @@ from typing import Callable
 
 import numpy as np
 
+from ..compiler import CompiledKernel, prepare_launch
 from ..errors import ConfigError
 from ..isa import Kernel
-from ..sim import LaunchConfig
+from ..sim import Gpu, LaunchConfig, RunResult
 
 #: Workload scales.  ``tiny`` keeps unit tests fast; ``small`` is the
 #: default for the figure harness; ``medium`` for closer-to-paper runs.
@@ -39,6 +40,27 @@ class WorkloadInstance:
     def fresh_memory(self) -> np.ndarray:
         """A pristine copy of the initial global-memory image."""
         return self.global_mem.copy()
+
+    def run(self, compiled: CompiledKernel, gpu: Gpu,
+            **launch_kwargs) -> tuple[RunResult, np.ndarray]:
+        """Launch ``compiled`` (this kernel under some scheme) on ``gpu``
+        from fresh memory; returns ``(RunResult, final memory)``.
+
+        The scheme's checkpoint storage, if any, is appended to memory
+        and passed as the extra kernel parameter; ``launch_kwargs`` go
+        to :meth:`repro.sim.Gpu.launch` (cycle budget, checkpoint
+        recorder, resume point, convergence monitor).
+        """
+        launch = self.launch
+        params, mem = prepare_launch(
+            compiled, launch.params, self.fresh_memory(), launch.num_blocks,
+            launch.threads_per_block, warp_size=gpu.config.warp_size)
+        config = LaunchConfig(grid=launch.grid, block=launch.block,
+                              params=params)
+        result = gpu.launch(compiled.kernel, config, mem,
+                            regs_per_thread=compiled.regs_per_thread,
+                            **launch_kwargs)
+        return result, mem
 
     def verify(self, final_mem: np.ndarray) -> bool:
         """Does the final memory match the NumPy reference?"""

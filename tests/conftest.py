@@ -219,12 +219,8 @@ def run_compiled(instance, scheme_name: str, wcdl: int = 20,
         else NULL_RESILIENCE
     gpu = Gpu(gpu_config or GTX480, resilience=runtime, scheduler=scheduler,
               sanitizer=sanitizer, tracer=tracer)
-    if injector is not None:
-        gpu.fault_injector = injector
-    launch, mem = prepared_launch(compiled, instance)
-    result = gpu.launch(compiled.kernel, launch, mem,
-                        regs_per_thread=compiled.regs_per_thread,
-                        **launch_kwargs)
+    gpu.fault_injector = injector
+    result, mem = instance.run(compiled, gpu, **launch_kwargs)
     return result, mem, instance.verify(mem)
 
 

@@ -9,9 +9,9 @@ check bit-exact recovery across workloads, seeds, and strike timings.
 import numpy as np
 import pytest
 
-from repro.compiler import compile_kernel, prepare_launch
+from repro.compiler import compile_kernel
 from repro.core import FaultInjector, FlameRuntime
-from repro.sim import Gpu, LaunchConfig, ResilienceRuntime
+from repro.sim import Gpu, ResilienceRuntime
 from repro.workloads import WORKLOADS
 from repro.arch import GTX480
 
@@ -29,15 +29,7 @@ def run_with_faults(abbr, strikes, seed, wcdl=20):
     def launch_once(injector):
         gpu = Gpu(GTX480, resilience=FlameRuntime(wcdl))
         gpu.fault_injector = injector
-        mem = instance.fresh_memory()
-        params, mem = prepare_launch(compiled, instance.launch.params, mem,
-                                     instance.launch.num_blocks,
-                                     instance.launch.threads_per_block)
-        launch = LaunchConfig(grid=instance.launch.grid,
-                              block=instance.launch.block, params=params)
-        result = gpu.launch(compiled.kernel, launch, mem,
-                            regs_per_thread=compiled.regs_per_thread)
-        return result, mem
+        return instance.run(compiled, gpu)
 
     golden_result, golden = launch_once(None)
     injector = FaultInjector(strike_cycles=strikes, wcdl=wcdl, seed=seed)
@@ -165,16 +157,7 @@ def run_site(abbr, site, strikes, seed, wcdl=20, scheme="flame",
         else:
             gpu = Gpu(config)
         gpu.fault_injector = injector
-        mem = instance.fresh_memory()
-        params, mem = prepare_launch(compiled, instance.launch.params, mem,
-                                     instance.launch.num_blocks,
-                                     instance.launch.threads_per_block)
-        launch = LaunchConfig(grid=instance.launch.grid,
-                              block=instance.launch.block, params=params)
-        result = gpu.launch(compiled.kernel, launch, mem,
-                            regs_per_thread=compiled.regs_per_thread,
-                            max_cycles=2_000_000)
-        return result, mem
+        return instance.run(compiled, gpu, max_cycles=2_000_000)
 
     golden_result, golden = launch_once(None)
     injector = FaultInjector(strike_cycles=strikes, wcdl=wcdl, seed=seed,
@@ -658,18 +641,10 @@ ATOMIC_STRIKES = [("flame", 468, "rpt"), ("flame", 535, "dest_reg"),
 
 
 def run_histogram(scheme, injector=None):
-    from repro.core import runtime_scheme_by_name
-    from tests.conftest import prepared_launch
+    from repro.core.schemes import launcher
 
-    instance = WORKLOADS["Histogram"].instance("tiny")
-    rscheme = runtime_scheme_by_name(scheme)
-    compiled = compile_kernel(instance.kernel, rscheme.compile_scheme,
-                              wcdl=20)
-    launch, mem = prepared_launch(compiled, instance)
-    gpu = Gpu(GTX480, resilience=rscheme.build(wcdl=20))
-    gpu.fault_injector = injector
-    return gpu.launch(compiled.kernel, launch, mem,
-                      regs_per_thread=compiled.regs_per_thread)
+    _, _, launch = launcher("Histogram", scheme, "tiny")
+    return launch(injector)[0]
 
 
 class TestAtomicReplay:

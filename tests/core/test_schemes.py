@@ -4,7 +4,7 @@ validation, and the campaign spec's scheme vetting."""
 import pytest
 
 from repro.core import (AbftSgemmRuntime, CampaignSpec, DmrRuntime,
-                        PartialThreadRuntime, RUNTIME_SCHEMES, build_runtime,
+                        PartialThreadRuntime, RUNTIME_SCHEMES,
                         campaign_schemes, default_campaign_schemes,
                         register_scheme, runtime_scheme_by_name)
 from repro.core.runtime import FlameRuntime
@@ -58,11 +58,14 @@ def test_default_campaign_schemes_are_runnable():
 
 
 def test_build_runtime_types():
-    assert build_runtime("baseline") is NULL_RESILIENCE
-    assert isinstance(build_runtime("flame", wcdl=24), FlameRuntime)
-    assert isinstance(build_runtime("dmr"), DmrRuntime)
-    assert isinstance(build_runtime("partial_thread"), PartialThreadRuntime)
-    assert isinstance(build_runtime("abft_sgemm"), AbftSgemmRuntime)
+    def build(name: str, **knobs):
+        return runtime_scheme_by_name(name).build(**knobs)
+
+    assert build("baseline") is NULL_RESILIENCE
+    assert isinstance(build("flame", wcdl=24), FlameRuntime)
+    assert isinstance(build("dmr"), DmrRuntime)
+    assert isinstance(build("partial_thread"), PartialThreadRuntime)
+    assert isinstance(build("abft_sgemm"), AbftSgemmRuntime)
 
 
 def test_register_scheme_round_trip():
@@ -140,6 +143,6 @@ def test_campaign_spec_accepts_all_runtime_competitors():
 
 
 def test_runtime_instances_are_fresh_per_build():
-    first = build_runtime("dmr")
-    second = build_runtime("dmr")
+    first = runtime_scheme_by_name("dmr").build()
+    second = runtime_scheme_by_name("dmr").build()
     assert first is not second

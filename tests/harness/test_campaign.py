@@ -178,6 +178,29 @@ class TestHardening:
         assert len(good) == 2
         assert all(r.outcome != INFRA_ERROR for r in good)
 
+    def test_resumed_report_counts_journaled_infra_errors(self, tmp_path):
+        """A report is derived from the journal rows, so a resumed run
+        still reports the infra error an earlier invocation journaled,
+        in agreement with its cell and with ``report_from_journal``."""
+        from repro.harness.report import report_from_journal
+
+        spec = small_spec(trials=3, schemes=("flame",))
+        path = str(tmp_path / "j.jsonl")
+
+        def doomed(trial):
+            if trial.index == 1:
+                raise OSError("worker died")
+            return run_trial(trial)
+
+        runner = CampaignRunner(workers=1, max_retries=0, backoff_s=0.0)
+        runner._execute = doomed
+        assert runner.run(spec, journal_path=path).infra_failures == 1
+        resumed = CampaignRunner(workers=1).run(spec, journal_path=path)
+        assert resumed.complete
+        assert resumed.infra_failures == 1
+        assert resumed.cell("Triad", "flame").counts[INFRA_ERROR] == 1
+        assert report_from_journal(path).infra_failures == 1
+
     def test_worker_death_in_pool_does_not_abort_batch(self, tmp_path):
         spec = small_spec(trials=3, schemes=("baseline",))
         runner = CampaignRunner(workers=2, max_retries=1, backoff_s=0.0)

@@ -5,6 +5,7 @@ import weakref
 
 import pytest
 
+import repro.compiler as compiler_module
 import repro.harness.runner as runner_module
 from repro.errors import ConfigError
 from repro.harness import RunOutcome, Runner, RunSpec, execute, normalized_time
@@ -76,14 +77,14 @@ class TestRunMemory:
         with the simulator; the runner frees them before it returns
         rather than at the collector's next automatic pass."""
         kernels = []
-        compile_kernel = runner_module.compile_kernel
+        compile_kernel = compiler_module.compile_kernel
 
         def tracked(*args, **kwargs):
             compiled = compile_kernel(*args, **kwargs)
             kernels.append(weakref.ref(compiled.kernel))
             return compiled
 
-        monkeypatch.setattr(runner_module, "compile_kernel", tracked)
+        monkeypatch.setattr(compiler_module, "compile_kernel", tracked)
         gc.collect()
         gc.disable()
         try:

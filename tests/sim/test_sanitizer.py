@@ -10,11 +10,11 @@ import numpy as np
 import pytest
 
 from repro.arch import GTX480
-from repro.compiler import compile_kernel, prepare_launch
+from repro.compiler import compile_kernel
 from repro.core import FlameRuntime
 from repro.errors import SanitizerError
 from repro.isa import Op
-from repro.sim import Gpu, LaunchConfig, Sanitizer, StackEntry
+from repro.sim import Gpu, Sanitizer, StackEntry
 from repro.workloads import WORKLOADS
 
 
@@ -26,16 +26,7 @@ def launch(abbr="Triad", scheme="flame", wcdl=20, injector=None,
     gpu = (Gpu(GTX480, resilience=resilience, sanitizer=sanitizer)
            if resilience else Gpu(GTX480, sanitizer=sanitizer))
     gpu.fault_injector = injector
-    mem = instance.fresh_memory()
-    params, mem = prepare_launch(compiled, instance.launch.params, mem,
-                                 instance.launch.num_blocks,
-                                 instance.launch.threads_per_block)
-    cfg = LaunchConfig(grid=instance.launch.grid,
-                       block=instance.launch.block, params=params)
-    result = gpu.launch(compiled.kernel, cfg, mem,
-                        regs_per_thread=compiled.regs_per_thread,
-                        max_cycles=2_000_000)
-    return result, mem
+    return instance.run(compiled, gpu, max_cycles=2_000_000)
 
 
 class _CorruptAt:

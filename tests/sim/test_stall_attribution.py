@@ -123,3 +123,23 @@ def test_traced_run_is_cycle_identical():
     assert tracer.emitted > 0
     names = {evt.name for evt in tracer.events}
     assert {"issue", "block_dispatch", "block_retire"} <= names
+
+
+@pytest.mark.parametrize("workload,scheme", [
+    ("Histogram", "flame"), ("Histogram", "dmr"),
+    ("Histogram", "partial_thread"), ("SGEMM", "flame")])
+def test_one_recovery_books_its_rollback_window(workload, scheme):
+    """One uncoalesced recovery books exactly ``rollback_cycles`` to
+    'rollback': the window's end is an event, so fast-forward and idle
+    elision stop there even when the LSU is still busy at resume."""
+    from repro.core.injection import FaultInjector
+    from repro.core.schemes import launcher
+
+    _, _, launch = launcher(workload, scheme, "tiny")
+    injector = FaultInjector(strike_cycles=[535], seed=535, site="dest_reg")
+    result, _ = launch(injector)
+    stats = result.stats
+    assert (stats.recoveries, stats.coalesced_recoveries) == (1, 0)
+    rollback_cycles = runtime_scheme_by_name(scheme).build().rollback_cycles
+    assert stats.stall_cycles["rollback"] == rollback_cycles
+    _assert_conserved(stats)
