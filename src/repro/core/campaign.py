@@ -61,6 +61,21 @@ OUTCOMES = (MASKED, SDC, DUE_HANG, DUE_CRASH, RECOVERED, INFRA_ERROR)
 UNRECOVERED = (SDC, DUE_HANG, DUE_CRASH)
 
 
+#: Faulty-run cycle budget = max(MIN_CYCLE_BUDGET,
+#: golden_cycles * MAX_CYCLES_FACTOR): the spec defaults below, and the
+#: budget of a traced strike (``repro.harness.trace``).
+MAX_CYCLES_FACTOR = 20.0
+MIN_CYCLE_BUDGET = 10_000
+
+
+def cycle_budget(golden_cycles: int, factor: float = MAX_CYCLES_FACTOR,
+                 minimum: int = MIN_CYCLE_BUDGET) -> int:
+    """Cycle budget of a struck run whose fault-free run took
+    ``golden_cycles``: a strike that hangs or livelocks the kernel
+    surfaces as a ``SimTimeout`` instead of running on to ``MAX_CYCLES``."""
+    return max(minimum, int(golden_cycles * factor))
+
+
 #: Spec fields that steer *how* trials are executed, not *what* they
 #: compute — excluded from :meth:`CampaignSpec.campaign_id` so direct
 #: and checkpointed runs share journals.
@@ -94,10 +109,9 @@ class CampaignSpec:
     #: Parity protection of Flame's own structures.
     harden_rpt: bool = True
     harden_rbq: bool = True
-    #: Faulty-run cycle budget = max(min_cycle_budget,
-    #: golden_cycles * max_cycles_factor).
-    max_cycles_factor: float = 20.0
-    min_cycle_budget: int = 10_000
+    #: Faulty-run cycle budget (see :func:`cycle_budget`).
+    max_cycles_factor: float = MAX_CYCLES_FACTOR
+    min_cycle_budget: int = MIN_CYCLE_BUDGET
     #: Per-trial wall-clock budget (seconds); 0 disables the alarm.
     timeout_s: float = 120.0
     #: Checkpoint-accelerated execution: fast-start each trial from the
@@ -220,8 +234,8 @@ class TrialSpec:
     sanitize: bool = False
     harden_rpt: bool = True
     harden_rbq: bool = True
-    max_cycles_factor: float = 20.0
-    min_cycle_budget: int = 10_000
+    max_cycles_factor: float = MAX_CYCLES_FACTOR
+    min_cycle_budget: int = MIN_CYCLE_BUDGET
     timeout_s: float = 120.0
     checkpoint: bool = True
     checkpoint_interval: int = 0
@@ -441,8 +455,8 @@ def run_trial(trial: TrialSpec) -> TrialResult:
     strike_cycles = sorted(int(c) for c in rng.integers(1, high,
                                                         size=trial.strikes))
     injector_seed = int(rng.integers(0, 2**31 - 1))
-    budget = max(trial.min_cycle_budget,
-                 int(golden_cycles * trial.max_cycles_factor))
+    budget = cycle_budget(golden_cycles, trial.max_cycles_factor,
+                          trial.min_cycle_budget)
     result = TrialResult(workload=trial.workload, scheme=trial.scheme,
                          index=trial.index, outcome=MASKED,
                          site=trial.site,

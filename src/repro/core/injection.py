@@ -193,7 +193,7 @@ class DestRegSite(FaultSite):
             record.detail = "no in-flight register write"
             return
         warp = candidates[int(rng.integers(len(candidates)))]
-        reg = warp.last_write.index
+        reg = warp.last_write
         record.warp_id = warp.id
         record.corrupted_reg = reg
         record.landed = True
@@ -251,7 +251,7 @@ class PredicateSite(FaultSite):
             record.detail = "no in-flight predicate write"
             return
         warp = candidates[int(rng.integers(len(candidates)))]
-        pred = warp.last_pred_write.index
+        pred = warp.last_pred_write
         record.warp_id = warp.id
         record.landed = True
         record.detail = f"p{pred}"

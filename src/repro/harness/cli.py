@@ -320,6 +320,13 @@ def _run(args: argparse.Namespace) -> int:
             workload, scheme=args.scheme, scheduler=args.scheduler,
             scale=args.scale, wcdl=args.wcdl, seed=args.seed,
             inject=not args.no_inject, capacity=args.trace_capacity)
+        # Every requested file is on disk before the first line prints,
+        # so a reader that closes stdout early cannot cost one.
+        if args.trace_out:
+            write_chrome_trace(traced.tracer, args.trace_out,
+                               workload=traced.workload)
+        if args.trace_jsonl:
+            count = write_jsonl(traced.tracer, args.trace_jsonl)
         line = (f"traced {traced.workload}/{traced.scheme}/"
                 f"{traced.scheduler} scale={traced.scale}: "
                 f"{traced.cycles} cycles, "
@@ -335,12 +342,9 @@ def _run(args: argparse.Namespace) -> int:
                   f"is partial; raise the tracer capacity to keep them "
                   f"all", file=sys.stderr)
         if args.trace_out:
-            write_chrome_trace(traced.tracer, args.trace_out,
-                               workload=traced.workload)
             print(f"chrome trace written to {args.trace_out} "
                   f"(load in https://ui.perfetto.dev)")
         if args.trace_jsonl:
-            count = write_jsonl(traced.tracer, args.trace_jsonl)
             print(f"{count} events written to {args.trace_jsonl}")
         if args.stall_report:
             print()

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..core.campaign import cycle_budget
 from ..core.injection import FaultInjector
 from ..core.schemes import launcher, runtime_scheme_by_name
 from ..errors import ConfigError, ReproError
@@ -49,8 +50,12 @@ def run_traced(workload: str, scheme: str = "flame",
     measures the kernel's cycle count, then the traced run takes one
     strike at a seeded cycle in ``[1, golden_cycles // 2]`` — early
     enough that its detection and recovery land inside the trace.
-    Injection requires a scheme whose runtime detects strikes; it is
-    skipped (not an error) for unprotected ``baseline`` runs.
+    The struck run gets a campaign trial's cycle budget
+    (:func:`~repro.core.campaign.cycle_budget` of the golden cycles), so
+    a strike that livelocks the kernel raises
+    :class:`~repro.errors.SimTimeout`.  Injection requires a scheme
+    whose runtime detects strikes; it is skipped (not an error) for
+    unprotected ``baseline`` runs.
     """
     rscheme = runtime_scheme_by_name(scheme)
     if not rscheme.supports_workload(workload):
@@ -62,15 +67,17 @@ def run_traced(workload: str, scheme: str = "flame",
                                    scheduler=scheduler, wcdl=wcdl)
     strike_cycle = None
     injector = None
+    budget = None
     if inject:
         golden, _ = launch()
         rng = np.random.default_rng(seed)
         strike_cycle = int(rng.integers(1, max(2, golden.cycles // 2)))
         injector = FaultInjector(strike_cycles=[strike_cycle], wcdl=wcdl,
                                  seed=seed, site=site)
+        budget = cycle_budget(golden.cycles)
 
     tracer = Tracer(capacity=capacity)
-    result, mem = launch(injector, tracer)
+    result, mem = launch(injector, tracer, max_cycles=budget)
     verified = instance.verify(mem)
     if not verified and not inject:
         raise ReproError(

@@ -16,7 +16,8 @@ from .builder import KernelBuilder
 from .cfg import BasicBlock, Cfg, reconvergence_table_for
 from .instruction import Instruction
 from .opcodes import AtomOp, CmpOp, FuClass, Op, OP_INFO, OpInfo, Space
-from .operands import Imm, Operand, Pred, Reg, Special, as_operand
+from .operands import (Imm, Operand, Pred, Reg, Special, as_operand,
+                       scoreboard_key)
 from .program import Kernel, Program, RegAllocator
 
 __all__ = [
@@ -24,5 +25,5 @@ __all__ = [
     "Kernel", "KernelBuilder", "Op", "OP_INFO", "OpInfo", "Operand", "Pred",
     "Program", "Reg", "RegAllocator", "Space", "Special", "as_operand",
     "parse_instruction", "parse_kernel", "parse_program",
-    "reconvergence_table_for",
+    "reconvergence_table_for", "scoreboard_key",
 ]

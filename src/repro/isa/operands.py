@@ -26,11 +26,12 @@ class Reg:
     index: int
 
     def __post_init__(self) -> None:
-        # Registers are scoreboard dict keys on the simulator's issue
-        # path; cache the hash instead of recomputing it per lookup.
-        # Hash from the index alone: a class object hashes by its id,
-        # which changes per process, and with it the iteration order of
-        # register sets (and so the compiler's register coloring).
+        # Registers key the compiler's dataflow sets and dicts; cache
+        # the hash instead of recomputing it per lookup.  (The
+        # simulator keys its scoreboard by :func:`scoreboard_key`, an
+        # int.)  Hash from the index alone: a class object hashes by its
+        # id, which changes per process, and with it the iteration order
+        # of register sets (and so the compiler's register coloring).
         object.__setattr__(self, "_hash", hash(self.index))
 
     def __hash__(self) -> int:
@@ -92,6 +93,17 @@ class Special(enum.Enum):
 
 #: Any operand readable as a source.
 Operand = Reg | Pred | Imm | Special
+
+
+def scoreboard_key(op: Reg | Pred) -> int:
+    """The int that keys ``op`` on the simulator's scoreboard: a
+    register's index, or ``-1 - index`` for a predicate (the values the
+    two classes hash to, so registers and predicates never collide)."""
+    if isinstance(op, Reg):
+        return op.index
+    if isinstance(op, Pred):
+        return -1 - op.index
+    raise TypeError(f"{op!r} is not a scoreboard operand")
 
 
 def as_operand(value: "Operand | int | float") -> Operand:

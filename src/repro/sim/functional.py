@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import SimError
-from ..isa import AtomOp, CmpOp, Instruction, Space, Special
+from ..isa import AtomOp, CmpOp, Instruction, Space
 
 _CMP_FNS = {
     CmpOp.EQ: np.equal,
@@ -42,13 +42,13 @@ class LaneContext:
     """Register/predicate state and special-register values of one warp."""
 
     def __init__(self, num_regs: int, num_preds: int, warp_size: int,
-                 specials: dict[Special, np.ndarray],
+                 specials: list[np.ndarray],
                  params: np.ndarray) -> None:
         self.regs = np.zeros((max(num_regs, 1), warp_size), dtype=np.float64)
         self.preds = np.zeros((max(num_preds, 1), warp_size), dtype=bool)
-        # Special-register rows in Special declaration order, so plan
+        # Special-register rows in ``Special`` declaration order, so plan
         # fetchers index a list instead of hashing enum members.
-        self.special_rows = [specials.get(s) for s in Special]
+        self.special_rows = specials
         self.params = params
         self.warp_size = warp_size
 

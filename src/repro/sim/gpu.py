@@ -8,7 +8,7 @@ import numpy as np
 
 from ..arch import GpuConfig, GTX480
 from ..errors import LaunchError, SimError, SimTimeout
-from ..isa import Cfg, Kernel, Special
+from ..isa import Cfg, Kernel
 from .caches import Cache
 from .plan import get_plan
 from .sm import NEVER, ResilienceRuntime, NULL_RESILIENCE, Sm, ThreadBlock
@@ -328,7 +328,9 @@ class Gpu:
             yield block
 
     def _specials(self, ctaid: tuple[int, int], launch: LaunchConfig,
-                  warp_in_block: int) -> dict[Special, np.ndarray]:
+                  warp_in_block: int) -> list[np.ndarray]:
+        """The ten special-register rows of one warp, in ``Special``
+        declaration order (``LaneContext.special_rows``)."""
         # Specials are launch-invariant per (geometry, warp slot) and only
         # ever read (no op writes a Special), so every warp in the same
         # slot across all blocks — and across launches — shares the same
@@ -339,18 +341,18 @@ class Gpu:
                                               warp_in_block)
         scalar = _scalar_special
         ws = config.warp_size
-        return {
-            Special.TID_X: tid_x,
-            Special.TID_Y: tid_y,
-            Special.NTID_X: scalar(ws, bx),
-            Special.NTID_Y: scalar(ws, by),
-            Special.CTAID_X: scalar(ws, ctaid[0]),
-            Special.CTAID_Y: scalar(ws, ctaid[1]),
-            Special.NCTAID_X: scalar(ws, launch.grid[0]),
-            Special.NCTAID_Y: scalar(ws, launch.grid[1]),
-            Special.LANEID: laneid,
-            Special.WARPID: scalar(ws, warp_in_block),
-        }
+        return [
+            tid_x,                           # TID_X
+            tid_y,                           # TID_Y
+            scalar(ws, bx),                  # NTID_X
+            scalar(ws, by),                  # NTID_Y
+            scalar(ws, ctaid[0]),            # CTAID_X
+            scalar(ws, ctaid[1]),            # CTAID_Y
+            scalar(ws, launch.grid[0]),      # NCTAID_X
+            scalar(ws, launch.grid[1]),      # NCTAID_Y
+            laneid,                          # LANEID
+            scalar(ws, warp_in_block),       # WARPID
+        ]
 
 
 _LANE_SPECIALS: dict[tuple[int, int, int],

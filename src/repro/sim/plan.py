@@ -13,9 +13,10 @@ that ``Sm`` issues from:
   the memory closures move a full warp without its mask and
   bounds-check in one reduction, raising ``functional._check_bounds``'s
   error;
-* precomputed scoreboard operand tuples, functional-unit class, fixed
-  latency, guard policy, branch target/reconvergence PC, and the flag
-  set (``is_timed_mem``, shadow/ckpt, fault-surface tracking).
+* the scoreboard keys it reads and writes as ints
+  (:func:`~repro.isa.scoreboard_key`), its ``SimStats.by_fu`` slot,
+  fixed latency, guard policy, branch target/reconvergence PC, and the
+  flag set (``is_timed_mem``, shadow/ckpt, fault-surface tracking).
 
 Plans are cached on the kernel object, keyed by the instruction/label
 content and the :class:`~repro.arch.GpuConfig`, so repeated launches of
@@ -38,9 +39,11 @@ import numpy as np
 
 from ..arch import GpuConfig
 from ..errors import SimError
-from ..isa import FuClass, Imm, Instruction, Kernel, Op, Pred, Reg, Space, Special
+from ..isa import (FuClass, Imm, Instruction, Kernel, Op, Pred, Reg, Space,
+                   Special, scoreboard_key)
 from ..isa.cfg import reconvergence_table_for
 from .functional import MemAccess, _atom_apply, _check_bounds, _CMP_FNS
+from .stats import FU_CLASSES
 
 # Dispatch kinds (checked with == in Sm._issue; ints, not enums,
 # to keep the comparison a single C-level operation).
@@ -373,8 +376,8 @@ class PlannedInst:
     """One static instruction, lowered into a dispatch record."""
 
     __slots__ = (
-        "inst", "op", "kind", "fu", "shadow", "ckpt", "dst",
-        "dst_index", "dst_is_pred",
+        "inst", "op", "kind", "fu_slot", "shadow", "ckpt", "dst_key",
+        "dst_index",
         "guard_index", "guard_sense", "guard_recheck", "score_ops",
         "is_timed_mem", "timing", "latency", "run",
         "track_reg_write", "track_pred_write", "track_shared_store",
@@ -387,16 +390,18 @@ class PlannedInst:
         info = inst.info
         self.inst = inst
         self.op = inst.op
-        self.fu = info.fu
+        self.fu_slot = FU_CLASSES.index(info.fu)
         # Human-readable trace label, e.g. "ld.global" — precomputed so
         # traced issue only fetches an attribute.
         self.label = (inst.op.value if inst.space is None
                       else f"{inst.op.value}.{inst.space.value}")
         self.shadow = inst.shadow
         self.ckpt = inst.ckpt
-        self.dst = inst.dst
+        # Scoreboard keys are ints (registers by index, predicates
+        # negative), so readiness checks hash no operand objects.
+        self.dst_key = (scoreboard_key(inst.dst) if inst.dst is not None
+                        else None)
         self.dst_index = inst.dst.index if inst.dst is not None else -1
-        self.dst_is_pred = isinstance(inst.dst, Pred)
         guard = inst.guard
         self.guard_index = guard.index if guard is not None else None
         self.guard_sense = inst.guard_sense
@@ -406,8 +411,9 @@ class PlannedInst:
         self.guard_recheck = (isinstance(inst.dst, Pred)
                               and guard is not None
                               and inst.dst.index == guard.index)
-        self.score_ops = inst.read_regs() + inst.read_preds() + (
+        operands = inst.read_regs() + inst.read_preds() + (
             (inst.dst,) if inst.dst is not None else ())
+        self.score_ops = tuple(map(scoreboard_key, operands))
         # Register rows this instruction reads, precomputed for the
         # golden run's read-liveness recording (None when it reads no
         # registers, so the hot path pays a single attribute test).

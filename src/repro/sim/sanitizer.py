@@ -11,8 +11,9 @@ The :class:`Sanitizer` is an opt-in per-cycle checker attached to a
 :class:`~repro.sim.Gpu` (``gpu.sanitizer = Sanitizer()``).  After every
 simulated cycle it walks each SM and verifies:
 
-* **scoreboard consistency** — every pending entry names a register or
-  predicate that exists in the warp's file, with a sane ready cycle;
+* **scoreboard consistency** — every pending entry's int key names a
+  register (``key >= 0``) or predicate (``-1 - key``) that exists in
+  the warp's file, with a sane ready cycle;
 * **divergence-stack well-formedness** — non-empty, bounded depth,
   every entry's PC inside the kernel, masks of warp width whose lanes
   nest (an inner entry's active lanes are a subset of its parent's);
@@ -40,7 +41,7 @@ import weakref
 import numpy as np
 
 from ..errors import SanitizerError
-from ..isa import Op, Pred, Reg
+from ..isa import Op
 
 #: SIMT stack depth bound mirrored from ``Warp.sanity_check``.
 MAX_STACK_DEPTH = 64
@@ -101,22 +102,25 @@ class Sanitizer:
         num_regs = warp.ctx.regs.shape[0]
         num_preds = warp.ctx.preds.shape[0]
         for key, ready in warp.pending.items():
-            if isinstance(key, Reg):
-                if not 0 <= key.index < num_regs:
+            # Keys decode as ``repro.isa.scoreboard_key`` encodes them.
+            if not isinstance(key, int):
+                self._fail("scoreboard", sm, warp, cycle,
+                           f"pending entry keyed by non-int {key!r}")
+            if key >= 0:
+                name = f"r{key}"
+                if key >= num_regs:
                     self._fail("scoreboard", sm, warp, cycle,
                                f"pending entry for nonexistent register "
-                               f"r{key.index} (file holds {num_regs})")
-            elif isinstance(key, Pred):
-                if not 0 <= key.index < num_preds:
+                               f"{name} (file holds {num_regs})")
+            else:
+                name = f"p{-1 - key}"
+                if -1 - key >= num_preds:
                     self._fail("scoreboard", sm, warp, cycle,
                                f"pending entry for nonexistent predicate "
-                               f"p{key.index} (file holds {num_preds})")
-            else:
-                self._fail("scoreboard", sm, warp, cycle,
-                           f"pending entry keyed by non-operand {key!r}")
+                               f"{name} (file holds {num_preds})")
             if not isinstance(ready, (int, np.integer)) or ready < 0:
                 self._fail("scoreboard", sm, warp, cycle,
-                           f"pending ready cycle {ready!r} for {key}")
+                           f"pending ready cycle {ready!r} for {name}")
 
     def _check_stack(self, sm, warp, cycle: int) -> None:
         stack = warp.stack

@@ -521,7 +521,7 @@ class Sm:
     def _warp_stall_cause(self, warp: Warp, cycle: int) -> str | None:
         """This warp's reason for not issuing, or None (DONE warps).
 
-        Computed from the record's scoreboard operands directly, never
+        Computed from the record's scoreboard keys directly, never
         from the ready cache, so attribution does not depend on when
         that memo was last refreshed.
         """
@@ -541,11 +541,11 @@ class Sm:
         blocked_at = cycle
         if pending:
             get = pending.get
-            for operand in rec.score_ops:
-                at = get(operand, 0)
+            for key in rec.score_ops:
+                at = get(key, 0)
                 if at > blocked_at:
                     blocked_at = at
-                    blocker = operand
+                    blocker = key
         if blocker is not None:
             # A scoreboard entry is an in-flight *load* exactly when the
             # memory-side ledger agrees on the ready cycle (see
@@ -578,8 +578,8 @@ class Sm:
             pending = warp.pending
             if pending:
                 get = pending.get
-                for operand in rec.score_ops:
-                    at = get(operand, 0)
+                for key in rec.score_ops:
+                    at = get(key, 0)
                     if at > ready:
                         ready = at
             warp.ready_cache = ready
@@ -635,7 +635,13 @@ class Sm:
         rec = self.plan.records[warp.stack[-1].pc]
         warp.wake(cycle + 1)
         warp.insts_since_boundary += 1
-        self.stats.count_issue(rec.fu, rec.shadow, rec.ckpt)
+        stats = self.stats
+        stats.instructions += 1
+        stats.by_fu[rec.fu_slot] += 1
+        if rec.shadow:
+            stats.shadow_instructions += 1
+        if rec.ckpt:
+            stats.ckpt_instructions += 1
         kind = rec.kind
 
         if kind == K_VALUE:
@@ -647,11 +653,11 @@ class Sm:
             # this region produced and has not yet put at rest in the
             # ECC-protected register and predicate files.
             if rec.track_reg_write:
-                warp.last_write = rec.dst
+                warp.last_write = rec.dst_index
                 warp.last_write_pc = warp.stack[-1].pc
                 warp.last_write_mask = mask
             elif rec.track_pred_write:
-                warp.last_pred_write = rec.dst
+                warp.last_pred_write = rec.dst_index
                 warp.last_pred_write_pc = warp.stack[-1].pc
                 # The lanes recorded are the post-execution guard mask,
                 # which differs only for a predicate write that aliases
@@ -670,8 +676,8 @@ class Sm:
                     liveness.note(access, warp.block, cycle)
             if rec.is_timed_mem:
                 self._time_memory(warp, rec, access, cycle)
-            elif rec.dst is not None:
-                warp.pending[rec.dst] = cycle + rec.latency
+            elif rec.dst_key is not None:
+                warp.pending[rec.dst_key] = cycle + rec.latency
             warp.advance()
             self._after_pc_change(warp, cycle)
             return
@@ -715,8 +721,8 @@ class Sm:
         unit-stride) access patterns."""
         config = self.config
         if access is None:  # fully predicated-off memory op
-            if rec.dst is not None:
-                warp.pending[rec.dst] = cycle + 1
+            if rec.dst_key is not None:
+                warp.pending[rec.dst_key] = cycle + 1
             return
         timing = rec.timing
         if timing == T_ATOMIC:
@@ -753,9 +759,9 @@ class Sm:
                                   {"latency": latency,
                                    "segments": occupancy})
         self._lsu_free_at = max(self._lsu_free_at, cycle) + occupancy
-        if rec.needs_writeback and rec.dst is not None:
-            warp.pending[rec.dst] = cycle + latency
-            warp.pending_mem[rec.dst] = cycle + latency
+        if rec.needs_writeback and rec.dst_key is not None:
+            warp.pending[rec.dst_key] = cycle + latency
+            warp.pending_mem[rec.dst_key] = cycle + latency
 
     # ------------------------------------------------------------------
     # Barriers
@@ -828,8 +834,8 @@ class Sm:
                 pending = warp.pending
                 if pending:
                     get = pending.get
-                    for operand in rec.score_ops:
-                        at = get(operand, 0)
+                    for key in rec.score_ops:
+                        at = get(key, 0)
                         if at > ready:
                             ready = at
                 timed = rec.is_timed_mem

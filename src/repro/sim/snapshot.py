@@ -48,7 +48,7 @@ from ..errors import SimError
 from ..isa import Space
 
 #: Bump when the checkpoint layout changes; restore refuses mismatches.
-SNAPSHOT_VERSION = 2
+SNAPSHOT_VERSION = 3
 
 
 @dataclass

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field, fields
 
 from ..isa import FuClass
@@ -24,6 +23,12 @@ STALL_CAUSES = (
     "no_ready_warp",   # nothing else blocks, scheduler found no candidate
 )
 
+#: ``SimStats.by_fu`` slot order: each functional-unit class counts in
+#: the slot of its position here.  Plan records carry their slot
+#: (``PlannedInst.fu_slot``), so an issue bumps a list entry instead of
+#: hashing an enum member.
+FU_CLASSES = tuple(FuClass)
+
 #: Counters that take the max rather than the sum when merging per-SM
 #: blocks into a per-GPU block: wall-clock cycles are shared, and the
 #: launch-shape policy numbers describe the kernel, not one SM.
@@ -39,7 +44,9 @@ class SimStats:
     shadow_instructions: int = 0
     ckpt_instructions: int = 0
     boundary_instructions: int = 0
-    by_fu: Counter = field(default_factory=Counter)
+    #: Issued instructions per functional-unit class, indexed by the
+    #: class's position in :data:`FU_CLASSES`.
+    by_fu: list = field(default_factory=lambda: [0] * len(FU_CLASSES))
     idle_cycles: int = 0
     issue_cycles: int = 0
     #: Cycles this SM had at least one resident block (issue + idle).
@@ -83,14 +90,6 @@ class SimStats:
     occupancy_warps: int = 0
     regs_per_thread: int = 0
 
-    def count_issue(self, fu: FuClass, shadow: bool, ckpt: bool) -> None:
-        self.instructions += 1
-        self.by_fu[fu] += 1
-        if shadow:
-            self.shadow_instructions += 1
-        if ckpt:
-            self.ckpt_instructions += 1
-
     def count_stall(self, cause: str, warp_id: int, cycles: int = 1) -> None:
         """Book ``cycles`` idle cycles against ``cause`` (and the warp
         that best represents it; -1 when no single warp is to blame)."""
@@ -119,12 +118,12 @@ class SimStats:
 
         Driven by the dataclass field list so a new counter cannot be
         silently dropped: every field is either summed, maxed, dict-merged,
-        or Counter-updated — exactly once.
+        or summed slot-wise — exactly once.
         """
         for f in fields(self):
             name = f.name
             if name == "by_fu":
-                self.by_fu.update(other.by_fu)
+                self.by_fu = [a + b for a, b in zip(self.by_fu, other.by_fu)]
             elif name in _MERGE_MAX:
                 setattr(self, name, max(getattr(self, name),
                                         getattr(other, name)))
@@ -139,7 +138,8 @@ class SimStats:
         for f in fields(self):
             value = getattr(self, f.name)
             if f.name == "by_fu":
-                value = {fu.value: n for fu, n in value.items()}
+                value = {fu.value: n for fu, n in zip(FU_CLASSES, value)
+                         if n}
             elif f.name == "warp_stalls":
                 value = {wid: dict(ledger) for wid, ledger in value.items()}
             elif f.name in _MERGE_DICT:
@@ -155,7 +155,7 @@ class SimStats:
         for f in fields(self):
             value = getattr(self, f.name)
             if f.name == "by_fu":
-                value = Counter(value)
+                value = list(value)
             elif f.name == "warp_stalls":
                 value = {wid: dict(ledger) for wid, ledger in value.items()}
             elif f.name in _MERGE_DICT:

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import SimError
-from ..isa import Kernel, Pred, Reg, Special
+from ..isa import Kernel
 from .functional import LaneContext
 
 
@@ -85,7 +85,7 @@ class Warp:
 
     def __init__(self, warp_id: int, block, kernel: Kernel,
                  num_regs: int, warp_size: int,
-                 specials: dict[Special, np.ndarray],
+                 specials: list[np.ndarray],
                  params: np.ndarray, age: int,
                  num_preds: int | None = None) -> None:
         self.id = warp_id
@@ -105,15 +105,18 @@ class Warp:
             full = np.arange(warp_size) < local
         self.stack: list[StackEntry] = [StackEntry(-1, 0, full)]
         self.exited = ~full
-        # Scoreboard: destination -> cycle the value becomes usable.
-        self.pending: dict[Reg | Pred, int] = {}
-        # Stall attribution: destination -> ready cycle, written only by
-        # timed memory loads.  An entry is *live* (the blocking producer
+        # Scoreboard: destination key -> cycle the value becomes usable.
+        # Keys are ints (``repro.isa.scoreboard_key``: a register's
+        # index, ``-1 - index`` for a predicate), resolved at plan
+        # lowering, so the issue path hashes no operand objects.
+        self.pending: dict[int, int] = {}
+        # Stall attribution: destination key -> ready cycle, written only
+        # by timed memory loads.  An entry is *live* (the blocking producer
         # is an in-flight load) exactly when it equals the ``pending``
         # entry for the same operand: WAW is blocked by the scoreboard,
         # so a stale entry always names an earlier cycle than any newer
         # producer's.  Never cleaned on the hot path; cleared on rollback.
-        self.pending_mem: dict[Reg | Pred, int] = {}
+        self.pending_mem: dict[int, int] = {}
         self.wakeup_cycle = 0               # earliest cycle the warp may issue
         # Event-driven fast-forward support: ``version`` bumps on every
         # state change that can affect readiness (wakeup, scoreboard
@@ -127,15 +130,16 @@ class Warp:
         self.scheduler = None               # set when attached to an SM
         self.insts_since_boundary = 0       # dynamic region-size accounting
         self.barrier_count = 0              # monotonic barrier generation
-        self.last_write: Reg | None = None  # injection target (in-flight dst)
+        # Injection target: index of the in-flight destination register.
+        self.last_write: int | None = None
         self.last_write_mask: np.ndarray | None = None  # lanes written
         self.last_write_pc = -1             # def site of the last write
         # Additional in-flight fault-surface tracking (multi-site model):
         # the words of the block's shared memory most recently stored by
-        # this warp in its current (unverified) region, and the predicate
-        # register most recently produced in flight.
+        # this warp in its current (unverified) region, and the index of
+        # the predicate register most recently produced in flight.
         self.last_shared_write: np.ndarray | None = None
-        self.last_pred_write: Pred | None = None
+        self.last_pred_write: int | None = None
         self.last_pred_write_mask: np.ndarray | None = None
         self.last_pred_write_pc = -1
 
@@ -202,12 +206,15 @@ class Warp:
     # ------------------------------------------------------------------
     def advance(self) -> None:
         """Move to the next sequential instruction, reconverging if needed."""
-        self.pc += 1
-        self._maybe_reconverge()
+        top = self.stack[-1]
+        top.pc += 1
+        if top.pc == top.reconv_pc:
+            self._maybe_reconverge()
 
     def _maybe_reconverge(self) -> None:
-        while len(self.stack) > 1 and self.pc == self.stack[-1].reconv_pc:
-            self.stack.pop()
+        stack = self.stack
+        while len(stack) > 1 and stack[-1].pc == stack[-1].reconv_pc:
+            stack.pop()
 
     def take_branch(self, rec) -> None:
         """Resolve a branch (possibly divergent) and update the SIMT
@@ -267,8 +274,8 @@ class Warp:
     # Checkpoint support
     # ------------------------------------------------------------------
     def capture_state(self) -> dict:
-        """Deep copy of every mutable field, as plain data keyed by
-        scoreboard-operand tags instead of Reg/Pred objects.  The
+        """Deep copy of every mutable field, as plain data (scoreboard
+        keys and fault-surface registers are ints already).  The
         readiness memo (``version``/``ready_*``) is deliberately left
         out: it is derived state, rebuilt on demand after restore."""
         return {
@@ -279,21 +286,18 @@ class Warp:
             "stack": tuple((e.reconv_pc, e.pc, e.mask.copy())
                            for e in self.stack),
             "exited": self.exited.copy(),
-            "pending": {_operand_tag(k): v for k, v in self.pending.items()},
-            "pending_mem": {_operand_tag(k): v
-                            for k, v in self.pending_mem.items()},
+            "pending": dict(self.pending),
+            "pending_mem": dict(self.pending_mem),
             "wakeup_cycle": self.wakeup_cycle,
             "insts_since_boundary": self.insts_since_boundary,
             "barrier_count": self.barrier_count,
-            "last_write": None if self.last_write is None
-                          else self.last_write.index,
+            "last_write": self.last_write,
             "last_write_mask": None if self.last_write_mask is None
                                else self.last_write_mask.copy(),
             "last_write_pc": self.last_write_pc,
             "last_shared_write": None if self.last_shared_write is None
                                  else np.array(self.last_shared_write),
-            "last_pred_write": None if self.last_pred_write is None
-                               else self.last_pred_write.index,
+            "last_pred_write": self.last_pred_write,
             "last_pred_write_mask": None if self.last_pred_write_mask is None
                                     else self.last_pred_write_mask.copy(),
             "last_pred_write_pc": self.last_pred_write_pc,
@@ -307,22 +311,18 @@ class Warp:
         self.stack = [StackEntry(r, p, m.copy())
                       for r, p, m in data["stack"]]
         self.exited = data["exited"].copy()
-        self.pending = {_operand_from_tag(tag): cycle
-                        for tag, cycle in data["pending"].items()}
-        self.pending_mem = {_operand_from_tag(tag): cycle
-                            for tag, cycle in data.get("pending_mem", {}).items()}
+        self.pending = dict(data["pending"])
+        self.pending_mem = dict(data["pending_mem"])
         self.wakeup_cycle = data["wakeup_cycle"]
         self.insts_since_boundary = data["insts_since_boundary"]
         self.barrier_count = data["barrier_count"]
-        lw = data["last_write"]
-        self.last_write = None if lw is None else Reg(lw)
+        self.last_write = data["last_write"]
         lwm = data["last_write_mask"]
         self.last_write_mask = None if lwm is None else lwm.copy()
         self.last_write_pc = data["last_write_pc"]
         lsw = data["last_shared_write"]
         self.last_shared_write = None if lsw is None else np.array(lsw)
-        lp = data["last_pred_write"]
-        self.last_pred_write = None if lp is None else Pred(lp)
+        self.last_pred_write = data["last_pred_write"]
         lpm = data["last_pred_write_mask"]
         self.last_pred_write_mask = None if lpm is None else lpm.copy()
         self.last_pred_write_pc = data["last_pred_write_pc"]
@@ -344,13 +344,9 @@ class Warp:
                 or self.insts_since_boundary != data["insts_since_boundary"]
                 or self.barrier_count != data["barrier_count"]
                 or self.last_write_pc != data["last_write_pc"]
-                or self.last_pred_write_pc != data["last_pred_write_pc"]):
-            return False
-        if (None if self.last_write is None
-                else self.last_write.index) != data["last_write"]:
-            return False
-        if (None if self.last_pred_write is None
-                else self.last_pred_write.index) != data["last_pred_write"]:
+                or self.last_pred_write_pc != data["last_pred_write_pc"]
+                or self.last_write != data["last_write"]
+                or self.last_pred_write != data["last_pred_write"]):
             return False
         stack = data["stack"]
         if len(self.stack) != len(stack):
@@ -359,8 +355,7 @@ class Warp:
             if (entry.reconv_pc != reconv_pc or entry.pc != pc
                     or not np.array_equal(entry.mask, mask)):
                 return False
-        if {_operand_tag(op): c
-                for op, c in self.pending.items()} != data["pending"]:
+        if self.pending != data["pending"]:
             return False
         if not _optional_equal(self.last_write_mask,
                                data["last_write_mask"]):
@@ -384,17 +379,3 @@ def _optional_equal(live, ref) -> bool:
     if live is None or ref is None:
         return live is None and ref is None
     return np.array_equal(live, ref)
-
-
-def _operand_tag(operand) -> tuple[str, int]:
-    """Stable plain-data key for a scoreboard operand."""
-    if isinstance(operand, Reg):
-        return ("r", operand.index)
-    if isinstance(operand, Pred):
-        return ("p", operand.index)
-    raise SimError(f"unsnapshotable scoreboard operand {operand!r}")
-
-
-def _operand_from_tag(tag: tuple[str, int]):
-    kind, index = tag
-    return Reg(index) if kind == "r" else Pred(index)

@@ -19,7 +19,7 @@ def make_warp(wid=0):
         num_threads = 32
         first_warp_id = 0
 
-    specials = {s: np.arange(32, dtype=float) for s in Special}
+    specials = [np.arange(32, dtype=float) for _ in Special]
     return Warp(wid, FakeBlock(), kernel, num_regs=4, warp_size=32,
                 specials=specials, params=np.zeros(1), age=wid)
 

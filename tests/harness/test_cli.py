@@ -1,8 +1,15 @@
 """CLI entry point."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.harness.cli import EXPERIMENTS, main
+
+SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 
 class TestCli:
@@ -119,3 +126,54 @@ class TestCli:
         assert "all" in EXPERIMENTS
         assert "ablation" in EXPERIMENTS
         assert "trace" in EXPERIMENTS
+
+
+class TestClosedStdout:
+    """``python -m repro.harness ... | head -1``: the reader goes away
+    early, yet every requested file is written and no traceback
+    prints."""
+
+    @staticmethod
+    def _trace_cmd(tmp_path):
+        return [sys.executable, "-m", "repro.harness", "trace", "--scale",
+                "tiny", "--benchmarks", "Triad", "--seed", "1",
+                "--trace-out", str(tmp_path / "t.json"),
+                "--trace-jsonl", str(tmp_path / "t.jsonl"),
+                "--stall-report"]
+
+    @staticmethod
+    def _env(tmp_path):
+        return dict(os.environ, PYTHONPATH=SRC, PYTHONUNBUFFERED="1",
+                    REPRO_CACHE_DIR=str(tmp_path / "cache"))
+
+    def _assert_clean(self, tmp_path, stderr):
+        assert (tmp_path / "t.json").stat().st_size > 0
+        assert (tmp_path / "t.jsonl").stat().st_size > 0
+        assert "Traceback" not in stderr
+
+    def test_reader_closes_after_one_line(self, tmp_path):
+        proc = subprocess.Popen(self._trace_cmd(tmp_path),
+                                stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE,
+                                env=self._env(tmp_path), cwd=tmp_path)
+        assert proc.stdout.readline().startswith(b"traced Triad/flame")
+        proc.stdout.close()
+        stderr = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) in (0, 1)
+        self._assert_clean(tmp_path, stderr)
+
+    def test_reader_gone_before_first_line(self, tmp_path):
+        """A pipe with no reader fails the first ``print``
+        deterministically: the CLI exits 1 after writing its files."""
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(self._trace_cmd(tmp_path),
+                                  stdout=write_end, stderr=subprocess.PIPE,
+                                  env=self._env(tmp_path), cwd=tmp_path,
+                                  timeout=120)
+        finally:
+            os.close(write_end)
+        assert done.returncode == 1
+        self._assert_clean(tmp_path, done.stderr.decode())

@@ -158,3 +158,20 @@ def test_version_mismatch_refused():
     stale = dataclasses.replace(recorder.checkpoints[0], version=0)
     with pytest.raises(SimError):
         launch_once(resume_from=stale)
+
+
+def test_version_2_checkpoint_refused():
+    """Version 2 keyed the scoreboard by ``("r", i)``/``("p", i)`` tags
+    and captured every cache set; version 3 restores neither."""
+    import dataclasses
+
+    from repro.errors import SimError
+    from repro.sim import SNAPSHOT_VERSION
+
+    assert SNAPSHOT_VERSION == 3
+    launch_once = _launcher("flame", "GTO")
+    recorder = CheckpointRecorder()
+    launch_once(recorder=recorder)
+    old = dataclasses.replace(recorder.checkpoints[-1], version=2)
+    with pytest.raises(SimError, match="checkpoint version 2"):
+        launch_once(resume_from=old)

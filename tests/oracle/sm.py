@@ -6,7 +6,10 @@ overrides every method that reads the decode-once plan.  Issue,
 readiness, boundary-marker delivery, stall causes and the next-event
 bound are re-derived from the :class:`~repro.isa.Instruction` at the
 warp's PC; branch reconvergence comes from the kernel's CFG; memory is
-timed with NumPy ``unique``.  Its ``tick`` runs every cycle in full:
+timed with NumPy ``unique``.  Scoreboard keys come from
+:func:`~repro.isa.scoreboard_key` on the decoded operands, so the
+planned path's precomputed keys are checked against an independent
+derivation.  Its ``tick`` runs every cycle in full:
 no per-SM idle elision and no failed-pick memo, so both shortcuts of
 the planned path stay cross-checked.  It emits no trace events.
 """
@@ -15,9 +18,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.isa import FuClass, Instruction, Op, Pred, Reg, Space
+from repro.isa import (FuClass, Instruction, Op, Pred, Reg, Space,
+                       scoreboard_key)
 from repro.isa.cfg import reconvergence_table_for
 from repro.sim import MemAccess, Sm, StackEntry, Warp, WarpState
+from repro.sim.stats import FU_CLASSES
 
 from .functional import execute, guard_mask
 
@@ -35,12 +40,13 @@ def deps_ready(warp: Warp, inst: Instruction, cycle: int) -> bool:
     if not pending:
         return True
     for reg in inst.read_regs():
-        if pending.get(reg, 0) > cycle:
+        if pending.get(scoreboard_key(reg), 0) > cycle:
             return False
     for pred in inst.read_preds():
-        if pending.get(pred, 0) > cycle:
+        if pending.get(scoreboard_key(pred), 0) > cycle:
             return False
-    if inst.dst is not None and pending.get(inst.dst, 0) > cycle:
+    if (inst.dst is not None
+            and pending.get(scoreboard_key(inst.dst), 0) > cycle):
         return False
     return True
 
@@ -49,17 +55,17 @@ def earliest_dep_cycle(warp: Warp, inst: Instruction) -> int:
     """Cycle at which ``deps_ready`` will become true (for fast-forward)."""
     latest = warp.wakeup_cycle
     for reg in inst.read_regs():
-        latest = max(latest, warp.pending.get(reg, 0))
+        latest = max(latest, warp.pending.get(scoreboard_key(reg), 0))
     for pred in inst.read_preds():
-        latest = max(latest, warp.pending.get(pred, 0))
+        latest = max(latest, warp.pending.get(scoreboard_key(pred), 0))
     if inst.dst is not None:
-        latest = max(latest, warp.pending.get(inst.dst, 0))
+        latest = max(latest, warp.pending.get(scoreboard_key(inst.dst), 0))
     return latest
 
 
 def mark_pending(warp: Warp, dst, ready_cycle: int) -> None:
     if dst is not None:
-        warp.pending[dst] = ready_cycle
+        warp.pending[scoreboard_key(dst)] = ready_cycle
         warp.version += 1
 
 
@@ -168,16 +174,16 @@ class ReferenceSm(Sm):
         if warp.finished:
             return "no_ready_warp"
         inst = next_instruction(warp)
-        score_ops = list(inst.read_regs()) + list(inst.read_preds())
+        operands = list(inst.read_regs()) + list(inst.read_preds())
         if inst.dst is not None:
-            score_ops.append(inst.dst)
+            operands.append(inst.dst)
         blocker = None
         blocked_at = cycle
-        for operand in score_ops:
-            at = warp.pending.get(operand, 0)
+        for key in map(scoreboard_key, operands):
+            at = warp.pending.get(key, 0)
             if at > blocked_at:
                 blocked_at = at
-                blocker = operand
+                blocker = key
         if blocker is not None:
             if warp.pending_mem.get(blocker) == warp.pending[blocker]:
                 return "memory_latency"
@@ -211,7 +217,11 @@ class ReferenceSm(Sm):
         inst = next_instruction(warp)
         warp.wake(cycle + 1)
         warp.insts_since_boundary += 1
-        self.stats.count_issue(inst.fu, inst.shadow, inst.ckpt)
+        stats = self.stats
+        stats.instructions += 1
+        stats.by_fu[FU_CLASSES.index(inst.fu)] += 1
+        stats.shadow_instructions += inst.shadow
+        stats.ckpt_instructions += inst.ckpt
 
         if inst.op is Op.BRA:
             reconv = self.reconv.get(warp.pc, len(self.kernel.instructions))
@@ -233,11 +243,11 @@ class ReferenceSm(Sm):
         access = execute(inst, warp.ctx, active,
                          self.global_mem, warp.block.shared)
         if isinstance(inst.dst, Reg) and not inst.shadow:
-            warp.last_write = inst.dst
+            warp.last_write = inst.dst.index
             warp.last_write_pc = warp.pc
             warp.last_write_mask = guard_mask(inst, warp.ctx, active)
         elif isinstance(inst.dst, Pred) and not inst.shadow:
-            warp.last_pred_write = inst.dst
+            warp.last_pred_write = inst.dst.index
             warp.last_pred_write_pc = warp.pc
             warp.last_pred_write_mask = guard_mask(inst, warp.ctx, active)
         if (access is not None and access.space is Space.SHARED
@@ -293,7 +303,7 @@ class ReferenceSm(Sm):
         if inst.info.is_load or inst.info.is_atomic:
             mark_pending(warp, inst.dst, cycle + latency)
             if inst.dst is not None:
-                warp.pending_mem[inst.dst] = cycle + latency
+                warp.pending_mem[scoreboard_key(inst.dst)] = cycle + latency
 
     def next_event(self, cycle: int) -> int:
         best = self.resilience.next_event(self)

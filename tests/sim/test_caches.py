@@ -11,6 +11,15 @@ def small_cache(sets=4, assoc=2):
     return Cache(CacheConfig(num_sets=sets, assoc=assoc, line_words=32))
 
 
+def per_set_order(cache):
+    """The sparse capture expanded into one tag tuple per set, oldest
+    first, with ``()`` for sets never allocated."""
+    sets = [()] * cache.config.num_sets
+    for index, ways in cache.capture_state()[0]:
+        sets[index] = ways
+    return tuple(sets)
+
+
 class TestBasics:
     def test_cold_miss_then_hit(self):
         cache = small_cache()
@@ -106,15 +115,15 @@ class TestReplacementOrderPinned:
         cache = small_cache(sets=1, assoc=3)
         for line in (0, 1, 2):
             cache.access(line * 32)
-        assert cache.capture_state()[0] == ((0, 1, 2),)
+        assert per_set_order(cache) == ((0, 1, 2),)
         cache.access(0)                       # refresh line 0 -> MRU
-        assert cache.capture_state()[0] == ((1, 2, 0),)
+        assert per_set_order(cache) == ((1, 2, 0),)
         cache.access(3 * 32)                  # evicts line 1 (slot 0)
-        assert cache.capture_state()[0] == ((2, 0, 3),)
+        assert per_set_order(cache) == ((2, 0, 3),)
         cache.access(64, is_store=True)       # store hit refreshes too
-        assert cache.capture_state()[0] == ((0, 3, 2),)
+        assert per_set_order(cache) == ((0, 3, 2),)
         cache.access(4 * 32, is_store=True)   # store miss: no allocate
-        assert cache.capture_state()[0] == ((0, 3, 2),)
+        assert per_set_order(cache) == ((0, 3, 2),)
 
     @given(st.lists(st.tuples(st.integers(0, 1024), st.booleans()),
                     min_size=1, max_size=200))
@@ -138,7 +147,7 @@ class TestReplacementOrderPinned:
                         ways.pop(0)
                     ways.append(line)
             assert cache.access(addr, is_store=is_store) == expect
-        assert cache.capture_state()[0] == tuple(tuple(w) for w in model)
+        assert per_set_order(cache) == tuple(tuple(w) for w in model)
 
 
 class TestCheckpointState:
@@ -172,3 +181,34 @@ class TestCheckpointState:
             restored.access(line * 32)
         assert (restored.hits, restored.misses) == (cache.hits, cache.misses)
         assert not restored.state_equals(cache.capture_state())
+
+    def test_capture_holds_only_allocated_sets(self):
+        """Sets no load allocated are absent; the rest come in index
+        order, and store misses allocate nothing."""
+        cache = small_cache(sets=4, assoc=2)
+        cache.access(3 * 32)
+        cache.access(1 * 32)
+        cache.access(2 * 32, is_store=True)
+        assert cache.capture_state() == (((1, (1,)), (3, (3,))), 0, 3)
+
+    def test_restore_holds_exactly_the_captured_sets(self):
+        source = small_cache(sets=4, assoc=2)
+        source.access(1 * 32)
+        state = source.capture_state()
+        target = small_cache(sets=4, assoc=2)
+        target.access(2 * 32)                # a set the capture lacks
+        target.restore_state(state)
+        assert target.capture_state() == state
+        assert target.state_equals(state)
+        assert not target.access(2 * 32)     # its line went with it
+        assert target.access(1 * 32)
+
+    def test_capture_after_invalidate_equals_fresh(self):
+        cache = small_cache(sets=4, assoc=2)
+        for line in range(6):
+            cache.access(line * 32)
+        cache.invalidate()
+        fresh = small_cache(sets=4, assoc=2)
+        # The counters are access history, which invalidation keeps.
+        assert cache.capture_state()[0] == fresh.capture_state()[0] == ()
+        assert fresh.state_equals(((), 0, 0))

@@ -20,7 +20,7 @@ WARP = GTX480.warp_size
 
 
 def make_ctx(num_regs=8, num_preds=4):
-    specials = {s: np.arange(WARP, dtype=float) for s in Special}
+    specials = [np.arange(WARP, dtype=float) for _ in Special]
     return LaneContext(num_regs, num_preds, WARP, specials,
                        np.array([3.0, 7.0]))
 

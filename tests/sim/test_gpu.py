@@ -32,6 +32,28 @@ class TestLaunchValidation:
             LaunchConfig(grid=(1, 1), block=(64, 32))  # > 1024 threads
 
 
+class TestSpecials:
+    def test_rows_follow_special_declaration_order(self):
+        """``LaneContext.special_rows`` is positional: row ``i`` holds
+        the ``i``-th ``Special`` member's lanes."""
+        from repro.isa import Special
+
+        launch = LaunchConfig(grid=(3, 2), block=(40, 2))
+        rows = Gpu(GTX480)._specials((2, 1), launch, warp_in_block=1)
+        linear = 32 + np.arange(32)
+        expected = {
+            Special.TID_X: linear % 40, Special.TID_Y: linear // 40,
+            Special.NTID_X: 40, Special.NTID_Y: 2,
+            Special.CTAID_X: 2, Special.CTAID_Y: 1,
+            Special.NCTAID_X: 3, Special.NCTAID_Y: 2,
+            Special.LANEID: np.arange(32), Special.WARPID: 1,
+        }
+        assert len(rows) == len(Special)
+        for special, row in zip(Special, rows):
+            assert np.array_equal(row, np.broadcast_to(
+                np.asarray(expected[special], dtype=float), (32,))), special
+
+
 class TestOccupancy:
     def _kernel(self, shared=0):
         b = KernelBuilder("k", num_params=0, shared_words=shared)

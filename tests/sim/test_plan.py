@@ -6,7 +6,7 @@ import pytest
 
 from repro.arch import GTX480
 from repro.isa import (AtomOp, CmpOp, Imm, Instruction, KernelBuilder, Op,
-                       reconvergence_table_for)
+                       reconvergence_table_for, scoreboard_key)
 from repro.sim import Gpu, LaunchConfig
 from repro.sim.plan import (K_BAR, K_BRA, K_EXIT, K_VALUE, PLAN_CACHE_SIZE,
                             _imm_vector, get_plan)
@@ -60,9 +60,12 @@ class TestPlanCaching:
         plan = get_plan(saxpy_kernel, GTX480)
         for rec in plan.records:
             inst = rec.inst
-            expected = inst.read_regs() + inst.read_preds() + (
+            operands = inst.read_regs() + inst.read_preds() + (
                 (inst.dst,) if inst.dst is not None else ())
-            assert rec.score_ops == expected
+            assert rec.score_ops == tuple(scoreboard_key(op)
+                                          for op in operands)
+            assert rec.dst_key == (None if inst.dst is None
+                                   else scoreboard_key(inst.dst))
 
 
 class TestPlanCacheEviction:
@@ -256,7 +259,7 @@ class TestOutOfBoundsParity:
         from repro.isa import Special
         from repro.sim import LaneContext
 
-        specials = {s: np.arange(self.WARP, dtype=float) for s in Special}
+        specials = [np.arange(self.WARP, dtype=float) for _ in Special]
         ctx = LaneContext(4, 1, self.WARP, specials, np.zeros(1))
         ctx.regs[1] = addrs
         ctx.regs[2] = np.arange(self.WARP, dtype=float) + 0.5

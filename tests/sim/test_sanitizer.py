@@ -13,7 +13,7 @@ from repro.arch import GTX480
 from repro.compiler import compile_kernel
 from repro.core import FlameRuntime
 from repro.errors import SanitizerError
-from repro.isa import Op
+from repro.isa import Op, Reg
 from repro.sim import Gpu, Sanitizer, StackEntry
 from repro.workloads import WORKLOADS
 
@@ -64,11 +64,9 @@ class TestFaultFree:
 
 class TestInvariants:
     def test_scoreboard_bad_register_index(self):
-        from repro.isa import Reg
-
         def corrupt(gpu, cycle):
             warp = gpu.sms[0].warps[0]
-            warp.pending[Reg(999)] = cycle + 5
+            warp.pending[999] = cycle + 5   # key of nonexistent r999
 
         with pytest.raises(SanitizerError) as err:
             launch("Triad", "flame", injector=_CorruptAt(50, corrupt),
@@ -76,6 +74,24 @@ class TestInvariants:
         assert err.value.invariant == "scoreboard"
         assert err.value.sm_id == 0
         assert err.value.cycle >= 50
+
+    @pytest.mark.parametrize("key, ready, text", [
+        (-1 - 999, 5, "nonexistent predicate p999"),
+        (Reg(0), 5, "non-int"),
+        (0, -7, "ready cycle -7"),
+    ])
+    def test_scoreboard_rejects_bad_entries(self, key, ready, text):
+        """Scoreboard keys are ints: ``-1 - index`` names a predicate,
+        and an operand object is no key at all."""
+        def corrupt(gpu, cycle):
+            gpu.sms[0].warps[0].pending[key] = (cycle + ready if ready > 0
+                                                else ready)
+
+        with pytest.raises(SanitizerError) as err:
+            launch("Triad", "flame", injector=_CorruptAt(50, corrupt),
+                   sanitizer=Sanitizer())
+        assert err.value.invariant == "scoreboard"
+        assert text in str(err.value)
 
     def test_stack_non_nested_mask(self):
         def corrupt(gpu, cycle):

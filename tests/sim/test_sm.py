@@ -85,7 +85,7 @@ class TestRegionAccounting:
         assert stats.avg_region_size == pytest.approx(
             stats.region_instructions / stats.verified_regions)
         # Boundary markers never consume issue slots.
-        assert stats.by_fu.get("meta", 0) == 0
+        assert stats.as_dict()["by_fu"].get("meta", 0) == 0
 
 
 class TestResilienceHookSurface:

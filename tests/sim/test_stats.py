@@ -5,21 +5,43 @@ from dataclasses import fields
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.isa import FuClass
-from repro.sim import SimStats
-from repro.sim.stats import _MERGE_DICT, _MERGE_MAX, STALL_CAUSES
+import numpy as np
+
+from repro.isa import FuClass, Instruction, KernelBuilder, Op, Space
+from repro.sim import LaunchConfig, SimStats, run_kernel
+from repro.sim.stats import _MERGE_DICT, _MERGE_MAX, FU_CLASSES, STALL_CAUSES
+
+ALU = FU_CLASSES.index(FuClass.ALU)
+MEM = FU_CLASSES.index(FuClass.MEM)
+SFU = FU_CLASSES.index(FuClass.SFU)
 
 
 class TestCounters:
-    def test_count_issue_classifies(self):
-        stats = SimStats()
-        stats.count_issue(FuClass.ALU, shadow=False, ckpt=False)
-        stats.count_issue(FuClass.MEM, shadow=False, ckpt=True)
-        stats.count_issue(FuClass.ALU, shadow=True, ckpt=False)
-        assert stats.instructions == 3
+    def test_issue_counts_classify(self):
+        """Each issue counts once, in its functional unit's ``by_fu``
+        slot, and once more per shadow/ckpt flag."""
+        b = KernelBuilder("count", num_params=1)
+        base = b.ld_param(0)
+        value = b.add(base, 1.0)
+        b.st_global(base, value)
+        kernel = b.build()
+        insts = kernel.instructions
+        add = next(i for i, inst in enumerate(insts) if inst.op is Op.ADD)
+        st = next(i for i, inst in enumerate(insts) if inst.op is Op.ST)
+        insts[add] = Instruction(op=Op.ADD, dst=insts[add].dst,
+                                 srcs=insts[add].srcs, shadow=True)
+        insts[st] = Instruction(op=Op.ST, srcs=insts[st].srcs,
+                                space=Space.GLOBAL, ckpt=True)
+        stats = run_kernel(kernel, LaunchConfig(params=(0,)),
+                           np.zeros(4)).stats
+        assert stats.instructions == len(insts)
         assert stats.shadow_instructions == 1
         assert stats.ckpt_instructions == 1
-        assert stats.by_fu[FuClass.ALU] == 2
+        expected = {}
+        for inst in insts:
+            expected[inst.fu.value] = expected.get(inst.fu.value, 0) + 1
+        assert stats.as_dict()["by_fu"] == expected
+        assert stats.by_fu[ALU] == expected["alu"]
 
     def test_avg_region_size(self):
         stats = SimStats()
@@ -43,20 +65,20 @@ class TestMerge:
         a, b = SimStats(), SimStats()
         a.instructions, b.instructions = 10, 20
         a.cycles, b.cycles = 100, 80
-        a.by_fu[FuClass.ALU] = 5
-        b.by_fu[FuClass.ALU] = 7
+        a.by_fu[ALU] = 5
+        b.by_fu[ALU] = 7
         a.merge(b)
         assert a.instructions == 30
         assert a.cycles == 100          # wall time, not a sum
-        assert a.by_fu[FuClass.ALU] == 12
+        assert a.by_fu[ALU] == 12
 
     def test_as_dict_round_trip_fields(self):
         stats = SimStats()
         stats.instructions = 5
-        stats.by_fu[FuClass.SFU] = 5
+        stats.by_fu[SFU] = 5
         data = stats.as_dict()
         assert data["instructions"] == 5
-        assert data["by_fu"] == {"sfu": 5}
+        assert data["by_fu"] == {"sfu": 5}   # nonzero slots only
         assert "avg_region_size" in data and "ipc" in data
 
     def test_merge_policies_name_real_fields(self):
@@ -67,15 +89,17 @@ class TestMerge:
     def test_every_field_merged_exactly_once(self):
         """Exhaustive audit over the dataclass field list: ints sum
         (or max for wall-clock-like fields), dicts merge key-wise,
-        by_fu Counter-updates — no counter silently dropped."""
+        by_fu sums slot-wise — no counter silently dropped."""
         a, b = SimStats(), SimStats()
         expected = {}
         for offset, f in enumerate(fields(SimStats)):
             if f.name == "by_fu":
-                a.by_fu[FuClass.ALU] = 3
-                b.by_fu[FuClass.ALU] = 4
-                b.by_fu[FuClass.MEM] = 5
-                expected[f.name] = {FuClass.ALU: 7, FuClass.MEM: 5}
+                a.by_fu[ALU] = 3
+                b.by_fu[ALU] = 4
+                b.by_fu[MEM] = 5
+                slots = [0] * len(FU_CLASSES)
+                slots[ALU], slots[MEM] = 7, 5
+                expected[f.name] = slots
             elif f.name in _MERGE_DICT:
                 setattr(a, f.name, {"x": {"k": 1}} if f.name ==
                         "warp_stalls" else {"k": 1})
@@ -109,14 +133,14 @@ class TestStallLedger:
     def test_clone_is_deep(self):
         stats = SimStats()
         stats.count_stall("barrier", 0)
-        stats.by_fu[FuClass.ALU] = 1
+        stats.by_fu[ALU] = 1
         dup = stats.clone()
         dup.count_stall("barrier", 0)
         dup.count_stall("rollback", 1)
-        dup.by_fu[FuClass.ALU] += 1
+        dup.by_fu[ALU] += 1
         assert stats.stall_cycles == {"barrier": 1}
         assert stats.warp_stalls == {0: {"barrier": 1}}
-        assert stats.by_fu[FuClass.ALU] == 1
+        assert stats.by_fu[ALU] == 1
 
 
 _ledgers = st.dictionaries(

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.arch import GTX480
-from repro.isa import CmpOp, Imm, Instruction, KernelBuilder, Op, Reg
+from repro.isa import (CmpOp, Imm, Instruction, KernelBuilder, Op, Reg,
+                       scoreboard_key)
 from repro.sim import (LaunchConfig, StackEntry, Warp, WarpSnapshot,
                        WarpState, run_kernel)
 from repro.sim.plan import PlannedInst
@@ -18,7 +19,7 @@ def make_warp(kernel, block_threads=32):
         num_threads = block_threads
         first_warp_id = 0
 
-    specials = {s: np.arange(32, dtype=float) for s in Special}
+    specials = [np.arange(32, dtype=float) for _ in Special]
     return Warp(0, FakeBlock(), kernel, num_regs=max(kernel.num_regs, 4),
                 warp_size=32, specials=specials,
                 params=np.zeros(4), age=0)
@@ -56,11 +57,10 @@ class TestScoreboard:
 
     def test_retire_pending_drops_ready(self):
         warp = make_warp(diverging_kernel())
-        warp.pending[Reg(0)] = 5
-        warp.pending[Reg(1)] = 15
+        warp.pending[scoreboard_key(Reg(0))] = 5
+        warp.pending[scoreboard_key(Reg(1))] = 15
         warp.retire_pending(10)
-        assert Reg(0) not in warp.pending
-        assert Reg(1) in warp.pending
+        assert warp.pending == {scoreboard_key(Reg(1)): 15}
 
     def test_earliest_dep_cycle(self):
         warp = make_warp(diverging_kernel())
