@@ -32,16 +32,22 @@ class RecoveryPcTable:
 
     hardened: bool = True
     entries: dict[int, "WarpSnapshot"] = field(default_factory=dict)
+    #: Bumped by every method that writes :attr:`entries`, so the
+    #: sanitizer re-verifies the table only after it changed.  A
+    #: counter, not table state: equality ignores it.
+    changes: int = field(default=0, compare=False, repr=False)
 
     def register_warp(self, warp: "Warp") -> None:
         """Initialize a warp's recovery PC to its current (entry) state."""
         from ..sim import WarpSnapshot
 
         self.entries[warp.id] = WarpSnapshot.capture(warp)
+        self.changes += 1
 
     def update(self, warp: "Warp", snapshot: "WarpSnapshot") -> None:
         """A region boundary verified: advance the warp's recovery PC."""
         self.entries[warp.id] = snapshot
+        self.changes += 1
 
     def recover(self, warp: "Warp") -> None:
         """Reset the warp to its most recent verified region start."""
@@ -49,6 +55,7 @@ class RecoveryPcTable:
 
     def drop(self, warp: "Warp") -> None:
         self.entries.pop(warp.id, None)
+        self.changes += 1
 
     # -- checkpoint support --------------------------------------------
     def capture_state(self) -> dict:
@@ -59,6 +66,7 @@ class RecoveryPcTable:
 
         self.entries = {wid: WarpSnapshot.from_state(data)
                         for wid, data in state.items()}
+        self.changes += 1
 
     def storage_bits(self, max_warps: int = 32, pc_bits: int = 32) -> int:
         """Hardware cost of the PC portion (Section VI-A2)."""

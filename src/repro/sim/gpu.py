@@ -138,7 +138,9 @@ class Gpu:
           checkpoints; a state match at a boundary stops the run early
           with ``converged=True`` and the golden final cycle count.
         """
-        kernel.validate()
+        # Building a plan validates the kernel (once per plan; an in-place
+        # edit forces a rebuild), so it comes before every launch check.
+        plan = get_plan(kernel, self.config)
         if max_cycles is not None and max_cycles < 1:
             raise LaunchError("max_cycles must be at least one cycle")
         budget = MAX_CYCLES if max_cycles is None else min(MAX_CYCLES,
@@ -152,7 +154,6 @@ class Gpu:
             raise LaunchError("global memory must be a float64 array")
         regs = regs_per_thread if regs_per_thread is not None else kernel.num_regs
         blocks_per_sm = occupancy_blocks(self.config, kernel, launch, regs)
-        plan = get_plan(kernel, self.config)
         params = np.asarray(launch.params, dtype=np.float64)
         for sm in self.sms:
             sm.configure(kernel, global_mem, self.scheduler, plan)
@@ -185,6 +186,9 @@ class Gpu:
         pending.reverse()  # pop() dispatches in grid order
         sms = self.sms
         injector = self.fault_injector
+        sanitizer = self.sanitizer
+        if sanitizer is not None:
+            sanitizer.full_sweep = True  # its memo lives for one launch
         # The injector ticks on the first loop cycle and afterwards only
         # once the ``next_event`` it reported after its last tick is due:
         # strikes and detections are scheduled only by its own ticks.
@@ -221,6 +225,10 @@ class Gpu:
                 if injector is not None and cycle >= inject_at:
                     injector.tick(self, cycle)
                     inject_at = injector.next_event(cycle)
+                    if sanitizer is not None:
+                        # Strikes edit warps and RPT entries in place,
+                        # bumping no version: re-verify them all.
+                        sanitizer.full_sweep = True
                 if self.tracer is not None:
                     self.tracer.now = cycle
                 issued = 0
@@ -231,8 +239,8 @@ class Gpu:
                     if sm._done_blocks:
                         for block in sm.take_done_blocks():
                             sm.remove_block(block, cycle)
-                if self.sanitizer is not None:
-                    self.sanitizer.check(self, cycle)
+                if sanitizer is not None:
+                    sanitizer.check(self, cycle)
                 if not pending:
                     for sm in sms:
                         if sm.blocks:

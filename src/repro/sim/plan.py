@@ -522,6 +522,9 @@ def get_plan(kernel: Kernel, config: GpuConfig) -> ExecPlan:
     lowering) and validated against the current instruction identities
     and labels, so mutating a kernel in place transparently invalidates
     its plans while repeated launches — campaign trials — hit the cache.
+    A plan is built only for a kernel that passes
+    :meth:`~repro.isa.Kernel.validate`, so an invalid kernel raises on
+    every launch while a valid one is validated once per plan.
     The cache is LRU-bounded at :data:`PLAN_CACHE_SIZE` entries (dicts
     preserve insertion order; hits reinsert their key at the end).
     """
@@ -533,6 +536,7 @@ def get_plan(kernel: Kernel, config: GpuConfig) -> ExecPlan:
     if plan is not None and plan.matches(kernel):
         cache[config] = plan  # reinsert: most recently used
         return plan
+    kernel.validate()
     plan = ExecPlan(kernel, config, reconvergence_table_for(kernel))
     cache[config] = plan
     while len(cache) > PLAN_CACHE_SIZE:

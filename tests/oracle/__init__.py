@@ -1,13 +1,17 @@
-"""Test oracle: the decode-per-issue reference interpreter.
+"""Test oracles: the decode-per-issue reference interpreter and the
+full-sweep sanitizer.
 
-``repro.sim`` issues from decode-once plans (:mod:`repro.sim.plan`).
-This package keeps a second, independent implementation of the same
-machine for tests to hold it to:
+``repro.sim`` issues from decode-once plans (:mod:`repro.sim.plan`) and
+sanitizes only what a cycle changed.  This package keeps a second,
+independent implementation of each for tests to hold it to:
 
 * :mod:`tests.oracle.functional` — ``execute``, one instruction's value
   semantics read straight off the :class:`~repro.isa.Instruction`;
 * :mod:`tests.oracle.sm` — :class:`ReferenceSm`, an ``Sm`` that decodes
-  on every issue and ticks every cycle in full.
+  on every issue and ticks every cycle in full;
+* :mod:`tests.oracle.sanitizer` — :class:`ReferenceSanitizer`, the
+  architectural sanitizer sweeping every warp and table at every check
+  (``repro.sim.Sanitizer`` re-verifies only what changed).
 
 :func:`oracle_gpu` builds an ordinary ``Gpu`` and swaps its SMs for
 reference ones (``ResilienceRuntime.bind`` is a per-SM factory, so each
@@ -25,10 +29,12 @@ from repro.arch import GTX480, GpuConfig
 from repro.sim import NULL_RESILIENCE, Gpu, ResilienceRuntime, RunResult
 
 from .functional import execute
+from .sanitizer import ReferenceSanitizer, sanitizer_class
 from .sm import ReferenceSm, bank_conflict_degree
 
-__all__ = ["ReferenceSm", "assert_matches_oracle", "bank_conflict_degree",
-           "execute", "oracle_gpu"]
+__all__ = ["ReferenceSanitizer", "ReferenceSm", "assert_matches_oracle",
+           "bank_conflict_degree", "execute", "oracle_gpu",
+           "sanitizer_class"]
 
 
 def oracle_gpu(config: GpuConfig = GTX480,

@@ -5,8 +5,12 @@ import numpy as np
 import pytest
 
 from repro.arch import GTX480
-from repro.isa import (AtomOp, CmpOp, Imm, Instruction, KernelBuilder, Op,
-                       reconvergence_table_for, scoreboard_key)
+from repro.core import FaultInjector
+from repro.core.schemes import launcher
+from repro.errors import IsaError
+from repro.isa import (AtomOp, CmpOp, Imm, Instruction, Kernel,
+                       KernelBuilder, Op, Reg, reconvergence_table_for,
+                       scoreboard_key)
 from repro.sim import Gpu, LaunchConfig
 from repro.sim.plan import (K_BAR, K_BRA, K_EXIT, K_VALUE, PLAN_CACHE_SIZE,
                             _imm_vector, get_plan)
@@ -37,6 +41,47 @@ class TestPlanCaching:
         gpu.launch(saxpy_kernel, launch, np.zeros(128))
         plan = get_plan(saxpy_kernel, GTX480)
         assert all(sm.plan is plan for sm in gpu.sms)
+
+    def test_relaunches_validate_once(self, monkeypatch):
+        """A campaign cell compiles once and launches many times (its
+        golden run, then one struck launch per trial): the kernel is
+        validated when the first launch builds its plan, not per
+        launch."""
+        _, compiled, launch = launcher("Triad", "flame", "tiny")
+        validated = []
+        original = Kernel.validate
+
+        def counting(kernel):
+            if kernel is compiled.kernel:
+                validated.append(kernel)
+            original(kernel)
+
+        monkeypatch.setattr(Kernel, "validate", counting)
+        launch()
+        for seed in range(4):
+            launch(FaultInjector(strike_cycles=[100], seed=seed))
+        assert len(validated) == 1
+
+    @pytest.mark.parametrize("break_kernel", [
+        lambda k: k.instructions.__setitem__(
+            0, Instruction(op=Op.EXIT, dst=Reg(0))),
+        lambda k: k.labels.__setitem__(next(iter(k.labels)),
+                                       len(k.instructions) + 5),
+    ], ids=["instruction", "label"])
+    def test_kernel_broken_in_place_raises_on_relaunch(self, loop_kernel,
+                                                       break_kernel):
+        """An in-place edit rebuilds the plan, so a broken kernel raises
+        the error ``Kernel.validate`` gives, on every launch after."""
+        launch = LaunchConfig(grid=(1, 1), block=(32, 1),
+                              params=(16, 0, 32))
+        Gpu(GTX480).launch(loop_kernel, launch, np.zeros(128))
+        break_kernel(loop_kernel)
+        with pytest.raises(IsaError) as direct:
+            loop_kernel.validate()
+        for _ in range(2):
+            with pytest.raises(IsaError) as launched:
+                Gpu(GTX480).launch(loop_kernel, launch, np.zeros(128))
+            assert str(launched.value) == str(direct.value)
 
     def test_kind_classification(self, barrier_kernel):
         plan = get_plan(barrier_kernel, GTX480)
